@@ -17,8 +17,9 @@ Quickstart (the stable facade — see docs/API.md)::
         print(api.run(src, "main").value)
 
 For warm reuse (many calls against one program) hold an
-:class:`api.Session <repro.api.Session>`; for per-function parallelism
-pass ``jobs=``/``mode=`` to ``api.check``/``api.verify``.
+:class:`api.Session <repro.api.Session>`.  Batches of programs, with a
+persistent certificate cache, go through :class:`repro.pipeline.Pipeline`
+(``repro batch``).
 
 The legacy exception-raising ``*_source`` entry points at the package
 root were removed after their deprecation period; use
@@ -46,7 +47,7 @@ from .runtime.machine import (
 )
 from .verifier.verifier import VerificationError, Verifier
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"
 
 
 __all__ = [

@@ -11,15 +11,10 @@ serve`` RPC daemon — one typed surface:
 * :func:`verify` → :class:`VerifyResult`
 * :func:`run`    → :class:`RunResult`
 
-:func:`check` and :func:`verify` accept ``jobs=``/``mode=`` to fan a
-program's functions out through the batch pipeline — ``mode="thread"``
-checks them concurrently in-process against one shared session (safe
-because the checker core is persistent), ``mode="process"`` uses a
-process pool.  Results are identical to the serial path by the pipeline
-determinism contract.  :class:`Session` is the warm handle for
-embedders: parse + elaborate once, then ``check``/``verify``/``run``
-repeatedly (and concurrently) without re-paying program-level costs or
-importing ``repro.pipeline`` internals.
+:class:`Session` is the warm handle for embedders: parse + elaborate
+once, then ``check``/``verify``/``run`` repeatedly (and concurrently)
+without re-paying program-level costs or importing ``repro.pipeline``
+internals.
 
 No facade function raises on a *program* problem: parse errors, type
 errors, verification failures, and runtime faults all come back as
@@ -274,7 +269,7 @@ class RunResult:
             heap_reads=data["heap_reads"],
             heap_writes=data["heap_writes"],
             heap_objects=data["heap_objects"],
-            engine=data.get("engine", "tree"),
+            engine=data["engine"],
             diagnostics=_diagnostics_from(data["diagnostics"]),
         )
 
@@ -368,54 +363,6 @@ def _make_session(
         return None, _parse_failure(exc, filename)
 
 
-def _wants_parallel(jobs: Optional[int], mode: Optional[str]) -> bool:
-    return (jobs is not None and jobs != 1) or mode not in (None, "serial")
-
-
-def _pipeline_result(
-    source: str,
-    filename: str,
-    program,
-    profile: CheckProfile,
-    jobs: Optional[int],
-    mode: Optional[str],
-    want_verify: bool,
-):
-    """Route one program through the batch pipeline and translate its
-    :class:`~repro.pipeline.ProgramResult` into the facade's result type
-    (same numbers as the serial path — the pipeline determinism
-    contract)."""
-    from .lang import ParseError, parse_program
-    from .lang.lexer import LexError
-    from .pipeline import Pipeline
-
-    result_cls = VerifyResult if want_verify else CheckResult
-    if program is None:
-        try:
-            program = parse_program(source)
-        except (ParseError, LexError) as exc:
-            return result_cls(ok=False, diagnostics=_parse_failure(exc, filename))
-    with Pipeline(
-        jobs=jobs, mode=mode, verify=want_verify, profile=profile
-    ) as pipeline:
-        result = pipeline.run(filename, source, program)
-    functions = len(program.funcs)
-    if not result.ok:
-        return result_cls(
-            ok=False,
-            functions=functions,
-            diagnostics=[result.error.to_diagnostic(filename)],
-        )
-    if want_verify:
-        return VerifyResult(
-            ok=True,
-            functions=functions,
-            nodes=result.nodes,
-            verified=result.verified,
-        )
-    return CheckResult(ok=True, functions=functions, nodes=result.nodes)
-
-
 @_traced("api.check")
 def check(
     source: str,
@@ -424,23 +371,12 @@ def check(
     program=None,
     profile: CheckProfile = DEFAULT_PROFILE,
     session=None,
-    jobs: Optional[int] = None,
-    mode: Optional[str] = None,
 ) -> CheckResult:
     """Parse and type-check ``source``; never raises on program errors.
 
     ``session`` lets warm callers (the server) reuse a parsed/elaborated
     :class:`~repro.pipeline.ProgramSession`; results are identical.
-    ``jobs``/``mode`` fan the functions out through the batch pipeline
-    (``mode="thread"`` shares one session across worker threads,
-    ``mode="process"`` forks a pool); results are again identical.
     """
-    if _wants_parallel(jobs, mode):
-        if program is None and session is not None:
-            program = session.program
-        return _pipeline_result(
-            source, filename, program, profile, jobs, mode, want_verify=False
-        )
     if session is None:
         session, failed = _make_session(source, filename, program, profile)
         if session is None:
@@ -468,21 +404,10 @@ def verify(
     program=None,
     profile: CheckProfile = DEFAULT_PROFILE,
     session=None,
-    jobs: Optional[int] = None,
-    mode: Optional[str] = None,
 ) -> VerifyResult:
-    """Check, then independently verify the derivation (§5).
-
-    ``jobs``/``mode`` parallelize per function exactly like
-    :func:`check`."""
+    """Check, then independently verify the derivation (§5)."""
     from .verifier import VerificationError
 
-    if _wants_parallel(jobs, mode):
-        if program is None and session is not None:
-            program = session.program
-        return _pipeline_result(
-            source, filename, program, profile, jobs, mode, want_verify=True
-        )
     if session is None:
         session, failed = _make_session(source, filename, program, profile)
         if session is None:
@@ -622,11 +547,11 @@ class Session:
     costs.
 
     This is the stable wrapper over the pipeline's internal
-    ``ProgramSession`` — embedders get warm reuse and per-function
-    parallelism without importing :mod:`repro.pipeline`.  The checker
-    core is persistent (path-copied contexts, interned regions), so one
-    Session may be shared across threads: concurrent ``check`` calls
-    against the same warm Session are safe with zero copies.
+    ``ProgramSession`` — embedders get warm reuse without importing
+    :mod:`repro.pipeline`.  The checker core is persistent (path-copied
+    contexts, interned regions), so one Session may be shared across
+    threads: concurrent ``check`` calls against the same warm Session
+    are safe with zero copies.
 
     Construction never raises on program errors: a Session whose source
     fails to parse or elaborate has ``ok == False`` and carries the
@@ -668,9 +593,7 @@ class Session:
         """Sorted function names (the checker's processing order)."""
         return [] if self._session is None else self._session.function_names()
 
-    def check(
-        self, *, jobs: Optional[int] = None, mode: Optional[str] = None
-    ) -> CheckResult:
+    def check(self) -> CheckResult:
         if self._session is None:
             return CheckResult(ok=False, diagnostics=self.diagnostics)
         return check(
@@ -678,13 +601,9 @@ class Session:
             filename=self.filename,
             profile=self.profile,
             session=self._session,
-            jobs=jobs,
-            mode=mode,
         )
 
-    def verify(
-        self, *, jobs: Optional[int] = None, mode: Optional[str] = None
-    ) -> VerifyResult:
+    def verify(self) -> VerifyResult:
         if self._session is None:
             return VerifyResult(ok=False, diagnostics=self.diagnostics)
         return verify(
@@ -692,8 +611,6 @@ class Session:
             filename=self.filename,
             profile=self.profile,
             session=self._session,
-            jobs=jobs,
-            mode=mode,
         )
 
     def run(self, function: str, args: Sequence = (), **kwargs) -> RunResult:

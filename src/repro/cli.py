@@ -11,7 +11,7 @@ Commands:
 * ``table1``                — regenerate the Table 1 comparison matrix.
 * ``corpus``                — list, check, and verify the bundled corpus.
 * ``batch PATH...``         — check + verify every program under the given
-  files/directories through the parallel + incremental pipeline.
+  files/directories through the incremental pipeline.
 * ``bench``                 — wall-clock benchmarks (``--json`` emits the
   ``repro-bench/1`` document; see docs/PERFORMANCE.md).
 * ``fuzz``                  — differential soundness fuzzing: generate
@@ -38,7 +38,7 @@ rejection, 2 verification failure, 3 runtime error/bench regression,
 
 ``check``/``run``/``verify``/``stats`` all accept ``--metrics-json FILE``
 to dump the telemetry registry as structured JSON (schema
-``repro-telemetry/1``; see docs/OBSERVABILITY.md), and ``run`` accepts
+``repro-telemetry/2``; see docs/OBSERVABILITY.md), and ``run`` accepts
 ``--trace-json FILE`` to export the heap-event trace as JSON lines.
 
 ``FILE`` is normally FCL source; a ``.py`` file works too if it embeds its
@@ -46,13 +46,9 @@ program in a module-level ``SOURCE = \"\"\"...\"\"\"`` literal (the style of
 ``examples/``), so ``repro stats examples/quickstart.py`` just works.
 
 ``check``/``verify``/``corpus``/``batch`` accept the pipeline flags
-``--jobs N`` (per-function fan-out; ``--jobs 1`` is today's serial path),
-``--mode thread|process`` (threads share the warm session in-process —
-the default for ``--jobs > 1`` — while processes pay a serialization tax
-but sidestep the GIL), ``--cache DIR`` (persistent content-addressed
-certificate cache), and ``--trust-cache`` (skip re-verifying cached
-certificates; integrity comes from the content hash).  See
-docs/PERFORMANCE.md.
+``--cache DIR`` (persistent content-addressed certificate cache) and
+``--trust-cache`` (skip re-verifying cached certificates; integrity comes
+from the content hash).  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -156,25 +152,16 @@ def _wants_pipeline(args: argparse.Namespace) -> bool:
     """Pipeline flags route a command through the batch engine; without
     them the original single-process code path runs, byte-identical to
     previous releases."""
-    return bool(
-        getattr(args, "jobs", None) is not None
-        or getattr(args, "mode", None)
-        or getattr(args, "cache", None)
-        or getattr(args, "trust_cache", False)
-    )
+    return bool(args.cache or args.trust_cache)
 
 
 def _make_pipeline(args: argparse.Namespace, verify: bool = True):
     from .pipeline import Pipeline
 
-    if getattr(args, "trust_cache", False) and not getattr(args, "cache", None):
+    if args.trust_cache and not args.cache:
         raise _usage("--trust-cache requires --cache DIR")
     return Pipeline(
-        jobs=args.jobs,
-        cache_dir=args.cache,
-        trust_cache=args.trust_cache,
-        verify=verify,
-        mode=getattr(args, "mode", None),
+        cache_dir=args.cache, trust_cache=args.trust_cache, verify=verify
     )
 
 
@@ -922,7 +909,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 cache_entries=args.cache_entries,
                 cache_bytes=args.cache_bytes,
                 max_steps=max_steps,
-                jobs=args.check_jobs,
             ),
             config=config,
         )
@@ -933,7 +919,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_steps=max_steps,
             cache_entries=args.cache_entries,
             cache_bytes=args.cache_bytes,
-            jobs=args.check_jobs,
         )
         server = Server(service=service, config=config)
 
@@ -1209,23 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def pipeline_flags(p):
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            metavar="N",
-            help="workers for per-function fan-out "
-            "(default: all CPUs; 1 = in-process serial path)",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("auto", "serial", "thread", "process"),
-            default=None,
-            help="fan-out execution mode: threads share the warm session "
-            "in-process (default for --jobs > 1), processes pay a "
-            "serialization tax but sidestep the GIL for large cold "
-            "batches",
-        )
         p.add_argument(
             "--cache",
             metavar="DIR",
@@ -1631,14 +1599,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker threads executing requests in single-process "
         "mode (default 8; ignored with --workers)",
-    )
-    p.add_argument(
-        "--check-jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="per-request function fan-out: check a request's functions "
-        "on N threads sharing the warm session (default 1)",
     )
     p.add_argument(
         "--http",

@@ -96,8 +96,8 @@ class OracleConfig:
 
 
 class StaticCheckPool:
-    """Routes the checker⇒verifier oracle through the pipeline's worker
-    pool (:func:`repro.pipeline.worker.check_verify_program_task`).
+    """Routes the checker⇒verifier oracle through a process pool
+    (:func:`repro.fuzz.worker.check_verify_program_task`).
 
     Verdicts are plain dicts with byte-for-byte the same semantics as the
     in-process oracle, and carry the worker's telemetry document so the
@@ -114,7 +114,7 @@ class StaticCheckPool:
         if self._executor is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            from ..pipeline.worker import init_worker
+            from .worker import init_worker
 
             self._executor = ProcessPoolExecutor(
                 max_workers=self.jobs, initializer=init_worker
@@ -123,7 +123,7 @@ class StaticCheckPool:
 
     def submit(self, source: str, profile: CheckProfile):
         """Future of a static-oracle verdict dict for one program."""
-        from ..pipeline.worker import check_verify_program_task
+        from .worker import check_verify_program_task
 
         task = {
             "source": source,
@@ -166,7 +166,7 @@ def _apply_verdict(case: GenCase, verdict: Dict[str, Any]):
         )
     if status == "type":
         from ..core import errors as _errors
-        from ..pipeline.worker import span_from_tuple
+        from .worker import span_from_tuple
 
         klass = getattr(_errors, verdict["cls"], TypeError_)
         if not (isinstance(klass, type) and issubclass(klass, TypeError_)):

@@ -1,9 +1,9 @@
-"""Parallel + incremental check/verify pipeline.
+"""Incremental check/verify pipeline.
 
-Batch orchestration for the prover–verifier stack: per-function jobs
-fanned over a process pool (``--jobs N``) and a persistent
-content-addressed certificate cache that turns repeat runs into cheap
-certificate replays (``--cache DIR``) or pure hash lookups
+Batch orchestration for the prover–verifier stack: per-function checks
+and verifications against one parsed, elaborated program, and a
+persistent content-addressed certificate cache that turns repeat runs
+into cheap certificate replays (``--cache DIR``) or pure hash lookups
 (``--trust-cache``).  See ``docs/PERFORMANCE.md`` for the cache-key
 recipe and the determinism contract.
 """

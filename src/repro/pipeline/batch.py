@@ -4,7 +4,7 @@ Output contract (the CI smoke job diffs it byte-for-byte between a cold
 and a warm run): **stdout** carries one deterministic result line per
 program — the same numbers whether a function was freshly derived or
 served from the cache — plus a summary footer; everything run-dependent
-(timings, hit/miss/stale counts, worker count) goes to **stderr**.
+(timings, hit/miss/stale counts) goes to **stderr**.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ def run_batch(
         stale += counts["stale"]
     wall_ms = (time.perf_counter() - t0) * 1000.0
     print(
-        f"pipeline: jobs={pipeline.jobs} mode={pipeline.mode} "
-        f"hits={hits} misses={misses} "
+        f"pipeline: hits={hits} misses={misses} "
         f"stale={stale} ({wall_ms:.0f} ms)",
         file=err,
     )

@@ -1,83 +1,57 @@
 """The batch check/verify orchestrator.
 
 A :class:`Pipeline` takes programs and produces :class:`ProgramResult`\\ s
-through three cooperating mechanisms:
+through two cooperating mechanisms:
 
-* **per-function fan-out** — each function of a program is an independent
-  job (check + verify, or certificate replay).  ``jobs=1`` runs them
-  in-process and phase-faithful to the serial entry points; ``jobs>1``
-  fans out in one of two execution modes.  ``mode="thread"`` (the
-  default for ``jobs>1``) runs tasks on a ``ThreadPoolExecutor``
-  against the **shared warm session** — the persistent checker core
-  makes concurrent checks safe with zero copies, and nothing is pickled
-  or re-elaborated.  ``mode="process"`` keeps the older
-  ``ProcessPoolExecutor`` fan-out, worth its serialization tax only for
-  large CPU-bound cold batches where the GIL would serialise the
-  thread pool;
+* **per-function derivations** — each function of a program is checked
+  and verified on its own (§5: a function's derivation depends only on
+  declarations and signatures, never on other bodies), in-process and
+  phase-faithful to the serial entry points: check every function in
+  sorted order, stop at the first type error, then verify or replay each
+  derivation;
 * **the certificate cache** (:mod:`repro.pipeline.cache`) — a content
   hash decides per function whether the prover runs at all.  A hit
   replays the stored certificate through the verifier (soundness
   preserved: nothing is trusted), or skips verification entirely under
   ``trust_cache`` (integrity by content hash: the certificate was
   verified when it was stored, and the key proves the inputs have not
-  changed since);
-* **telemetry merge-back** — worker registries come home as exported
-  documents and are folded into the parent registry, so ``--metrics-json``
-  reports the same checker/verifier counters a serial run would.
+  changed since).
 
-Determinism contract, relied on by tests and CI: for any program, any
-cache state, and **any execution mode**, ``jobs=1`` and ``jobs=N``
-produce identical accept/reject decisions, identical first-error
-diagnostics (first in sorted function order, exactly like
-``Checker.check_program``), and identical merged counters (modulo the
-``pipeline.*`` family itself).
+Determinism contract, relied on by tests and CI: for any program and any
+cache state, a run produces the accept/reject decision and first-error
+diagnostic of ``Checker.check_program`` + ``Verifier.verify_program``
+(first in sorted function order), and the same checker/verifier counters
+(modulo the ``pipeline.*`` family itself).
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .. import telemetry as tel
-from ..core import errors as _errors
 from ..core.checker import CheckProfile, DEFAULT_PROFILE
+from ..core.derivation import FuncDerivation
 from ..core.errors import TypeError_
-from ..core.serialize import func_derivation_to_json
+from ..core.serialize import func_derivation_from_json, func_derivation_to_json
 from ..lang import ast
 from ..verifier import VerificationError
 from .cache import CacheEntry, CertCache
 from .session import ProgramSession
-from .worker import init_worker, run_function_task, span_from_tuple
 
 
 @dataclass
 class ErrorInfo:
-    """A check/verify failure in transportable form (workers cannot ship
-    exception objects across the process boundary reliably)."""
+    """A check/verify failure, detached from the exception object."""
 
     stage: str  # "check" | "verify"
     cls: str
     message: str
     span: Optional[Tuple[int, int, int, int]] = None
-    crash: bool = False
 
     @classmethod
-    def from_record(cls, record: Dict[str, Any]) -> "ErrorInfo":
-        return cls(
-            stage=record["stage"],
-            cls=record["cls"],
-            message=record["message"],
-            span=tuple(record["span"]) if record["span"] else None,
-            crash=record.get("crash", False),
-        )
-
-    @classmethod
-    def from_exception(
-        cls, stage: str, exc: BaseException, crash: bool = False
-    ) -> "ErrorInfo":
+    def from_exception(cls, stage: str, exc: BaseException) -> "ErrorInfo":
         span = getattr(exc, "span", None)
         return cls(
             stage=stage,
@@ -86,16 +60,7 @@ class ErrorInfo:
             span=None
             if span is None
             else (span.start, span.end, span.line, span.column),
-            crash=crash,
         )
-
-    def as_type_error(self) -> TypeError_:
-        """Reconstruct the checker exception (or the closest subclass we
-        can name) so callers can render it exactly like the serial path."""
-        klass = getattr(_errors, self.cls, TypeError_)
-        if not (isinstance(klass, type) and issubclass(klass, TypeError_)):
-            klass = TypeError_
-        return klass(self.message, span_from_tuple(self.span))
 
     def to_diagnostic(self, file: str = "<input>"):
         """The canonical :class:`repro.api.Diagnostic` form — the one
@@ -155,9 +120,12 @@ class ProgramResult:
         return out
 
 
-#: Execution modes accepted by :class:`Pipeline` (``None`` means auto:
-#: serial for one job, thread otherwise).
-PIPELINE_MODES = ("serial", "thread", "process")
+class _Failed(Exception):
+    """Stops a program's run at its first error."""
+
+    def __init__(self, name: str, error: ErrorInfo):
+        self.name = name
+        self.error = error
 
 
 class Pipeline:
@@ -165,24 +133,13 @@ class Pipeline:
 
     def __init__(
         self,
-        jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         trust_cache: bool = False,
         verify: bool = True,
         profile: CheckProfile = DEFAULT_PROFILE,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        mode: Optional[str] = None,
     ):
-        self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
-        if mode in (None, "auto"):
-            mode = None
-        elif mode not in PIPELINE_MODES:
-            raise ValueError(
-                f"unknown pipeline mode {mode!r}; "
-                f"expected one of {', '.join(PIPELINE_MODES)}"
-            )
-        self._requested_mode = mode
         self.cache = (
             CertCache(
                 cache_dir, max_entries=cache_entries, max_bytes=cache_bytes
@@ -193,46 +150,12 @@ class Pipeline:
         self.trust_cache = trust_cache
         self.verify = verify
         self.profile = profile
-        self._executor: Optional[ProcessPoolExecutor] = None
-        self._thread_executor: Optional[ThreadPoolExecutor] = None
-        reg = tel.registry()
-        if reg.enabled:
-            reg.inc("pipeline.jobs", self.jobs)
 
-    @property
-    def mode(self) -> str:
-        """The resolved execution mode: an explicit request wins; auto
-        picks serial for one job and thread otherwise (shared warm
-        session, no pickling — process fan-out is opt-in)."""
-        if self._requested_mode is not None:
-            return self._requested_mode
-        return "serial" if self.jobs <= 1 else "thread"
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    def _executor_handle(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.jobs, initializer=init_worker
-            )
-        return self._executor
-
-    def _thread_executor_handle(self) -> ThreadPoolExecutor:
-        if self._thread_executor is None:
-            self._thread_executor = ThreadPoolExecutor(
-                max_workers=self.jobs, thread_name_prefix="repro-pipeline"
-            )
-        return self._thread_executor
+    # The pipeline holds no pool or open handle; the context-manager
+    # protocol stays so callers can scope it like any other resource.
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-        if self._thread_executor is not None:
-            self._thread_executor.shutdown()
-            self._thread_executor = None
+        pass
 
     def __enter__(self) -> "Pipeline":
         return self
@@ -255,8 +178,7 @@ class Pipeline:
         if not tr.enabled:
             return self._run(label, source, program)
         # Under the ambient span when there is one (the daemon's request
-        # span, the facade's api.* span), a new root otherwise; worker
-        # tasks inherit this context and stitch under it.
+        # span, the facade's api.* span), a new root otherwise.
         with tr.span("pipeline.program", cat="pipeline", args={"label": label}):
             return self._run(label, source, program)
 
@@ -282,41 +204,26 @@ class Pipeline:
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
             )
         names = session.function_names()
-
-        # Phase 0 — consult the cache and plan one task per function.
-        resolved: Dict[str, FunctionResult] = {}
-        tasks: List[Dict[str, Any]] = []
-        for name in names:
-            status, entry = ("miss", None)
-            if self.cache is not None:
-                status, entry = self.cache.get(session.function_key(name))
-            if status == "hit" and entry is not None:
-                if self.trust_cache or not self.verify:
-                    resolved[name] = FunctionResult(
-                        name,
-                        ok=True,
-                        cached="trusted" if self.trust_cache else "hit",
-                        nodes=entry.nodes,
-                        verified=entry.verified if self.trust_cache else 0,
-                    )
-                    continue
-                tasks.append(self._task(session, name, "replay", entry.cert))
-            else:
-                # "stale" is re-derived like a miss; the overwrite below
-                # evicts the unusable entry.
-                tasks.append(self._task(session, name, "check", None))
-
-        mode = self.mode
-        if reg.enabled:
-            reg.inc(f"pipeline.mode.{mode if tasks else 'serial'}")
-        if tasks and mode == "process":
-            outcomes = self._run_parallel(session, tasks, reg)
-        elif tasks and mode == "thread":
-            outcomes = self._run_threaded(session, tasks, reg)
+        done: Dict[str, FunctionResult] = {}
+        try:
+            certs = self._derive(session, names, done, reg)
+        except _Failed as failed:
+            result = ProgramResult(label, ok=False, error=failed.error)
+            self._observe_times(names, done, reg, stop=failed.name)
         else:
-            outcomes = self._run_serial(session, tasks, reg)
-
-        result = self._assemble(label, session, names, resolved, outcomes, reg)
+            result = ProgramResult(
+                label, ok=True, functions=[done[name] for name in names]
+            )
+            self._observe_times(names, done, reg)
+            self._store(session, certs, done)
+            if reg.enabled:
+                checked = sum(f.cached in ("miss", "stale") for f in done.values())
+                if checked:
+                    reg.inc("checker.functions", checked)
+                if self.verify:
+                    verified = sum(f.cached != "trusted" for f in done.values())
+                    if verified:
+                        reg.inc("verifier.certificates", verified)
         result.wall_ms = (time.perf_counter() - t0) * 1000.0
         if reg.enabled:
             reg.inc("pipeline.files")
@@ -327,297 +234,153 @@ class Pipeline:
             reg.inc("pipeline.cache.stale", counts["stale"])
         return result
 
-    def _task(
+    def _derive(
         self,
         session: ProgramSession,
-        name: str,
-        kind: str,
-        cert: Optional[str],
-    ) -> Dict[str, Any]:
-        return {
-            "source": session.source,
-            "profile": self.profile,
-            "func": name,
-            "kind": kind,
-            "cert": cert,
-            "want_cert": self.cache is not None and self.verify,
-            "verify": self.verify,
-            "collect": tel.registry().enabled,
-            # Wire trace context (None when tracing is off): workers run
-            # under a local tracer parented here and ship events back as
-            # `trace_doc` for the parent ring buffer to ingest.
-            "trace": tel.current_wire() if tel.tracer().enabled else None,
-        }
-
-    # ------------------------------------------------------------------
-    # Serial execution — today's path, phase-faithful
-    # ------------------------------------------------------------------
-
-    def _run_serial(
-        self,
-        session: ProgramSession,
-        tasks: List[Dict[str, Any]],
+        names: List[str],
+        done: Dict[str, FunctionResult],
         reg: tel.Registry,
-    ) -> Dict[str, Dict[str, Any]]:
-        """In-process execution against the ambient registry, replicating
-        the serial entry points' phase structure exactly: check every
-        function first (sorted order, stop at the first type error — the
-        verifier must not run for a program the checker rejected), then
-        verify/replay every derivation."""
-        outcomes: Dict[str, Dict[str, Any]] = {}
-        fresh: Dict[str, Any] = {}  # name -> FuncDerivation to verify
+    ) -> Dict[str, str]:
+        """Fill ``done`` with one result per function and return the new
+        certificates to store; raises :class:`_Failed` at the first error.
 
+        The phases replicate the serial entry points exactly: check every
+        function without a usable certificate (sorted order, stop at the
+        first type error — the verifier must not run for a program the
+        checker rejected), then verify each fresh derivation or replay
+        each stored one."""
+        # Phase 0 — consult the cache.
+        stored: Dict[str, str] = {}  # name -> certificate to replay
+        for name in names:
+            status, entry = ("miss", None)
+            if self.cache is not None:
+                status, entry = self.cache.get(session.function_key(name))
+            if status != "hit" or entry is None:
+                # "stale" is re-derived like a miss; storing the fresh
+                # certificate evicts the unusable entry.
+                continue
+            if self.trust_cache or not self.verify:
+                done[name] = FunctionResult(
+                    name,
+                    ok=True,
+                    cached="trusted" if self.trust_cache else "hit",
+                    nodes=entry.nodes,
+                    verified=entry.verified if self.trust_cache else 0,
+                )
+            else:
+                stored[name] = entry.cert
+
+        # Phase 1 — check.
+        fresh: Dict[str, FuncDerivation] = {}
         with _maybe_span(reg, "check.program"):
-            for task in tasks:
-                name = task["func"]
-                if task["kind"] == "replay":
-                    continue  # nothing to check; replayed in phase 2
+            for name in names:
+                if name in done or name in stored:
+                    continue
                 t0 = time.perf_counter()
                 try:
-                    fd = session.check_function(name)
+                    fresh[name] = session.check_function(name)
                 except TypeError_ as exc:
-                    outcomes[name] = _outcome(
-                        name, error=ErrorInfo.from_exception("check", exc)
-                    )
-                    return outcomes
-                fresh[name] = fd
-                outcomes[name] = _outcome(
+                    raise _Failed(name, ErrorInfo.from_exception("check", exc))
+                done[name] = FunctionResult(
                     name,
+                    ok=True,
                     cached="miss",
-                    nodes=fd.body.node_count(),
+                    nodes=fresh[name].body.node_count(),
                     ms=(time.perf_counter() - t0) * 1000.0,
                 )
 
+        certs: Dict[str, str] = {}
         if not self.verify:
-            return outcomes
+            return certs
 
+        # Phase 2 — verify fresh derivations, replay stored ones.
         with _maybe_span(reg, "verify.program"):
-            for task in tasks:
-                name = task["func"]
+            for name in names:
                 t0 = time.perf_counter()
-                if task["kind"] == "replay":
-                    out = self._replay_serial(session, name, task["cert"])
-                else:
-                    out = outcomes[name]
+                if name in stored:
+                    fd = self._replay(session, name, stored[name], done)
+                elif name in fresh:
+                    fd = fresh[name]
                     try:
-                        out["verified"] = session.verify_function(fresh[name])
+                        done[name].verified = session.verify_function(fd)
                     except VerificationError as exc:
-                        out["error"] = ErrorInfo.from_exception("verify", exc)
-                        out["ok"] = False
-                        outcomes[name] = out
-                        return outcomes
-                    out["cert"] = (
-                        func_derivation_to_json(fresh[name])
-                        if self.cache is not None
-                        else None
-                    )
-                out["ms"] += (time.perf_counter() - t0) * 1000.0
-                outcomes[name] = out
-                if out["error"] is not None:
-                    return outcomes
-        return outcomes
+                        raise _Failed(
+                            name, ErrorInfo.from_exception("verify", exc)
+                        )
+                else:
+                    continue
+                done[name].ms += (time.perf_counter() - t0) * 1000.0
+                if fd is not None and self.cache is not None:
+                    certs[name] = func_derivation_to_json(fd)
+        return certs
 
-    def _replay_serial(
-        self, session: ProgramSession, name: str, cert: str
-    ) -> Dict[str, Any]:
-        from ..core.serialize import func_derivation_from_json
-
+    def _replay(
+        self,
+        session: ProgramSession,
+        name: str,
+        cert: str,
+        done: Dict[str, FunctionResult],
+    ) -> Optional[FuncDerivation]:
+        """Replay one stored certificate into ``done[name]``.  Returns the
+        derivation to store when the certificate was unusable and a fresh
+        one replaced it, ``None`` when the stored one verified."""
         try:
             fd = func_derivation_from_json(name, cert)
             verified = session.verify_function(fd)
-            return _outcome(
-                name, cached="hit", nodes=fd.body.node_count(), verified=verified
-            )
         except (VerificationError, ValueError, KeyError, TypeError):
             pass
+        else:
+            done[name] = FunctionResult(
+                name, ok=True, cached="hit", nodes=fd.body.node_count(),
+                verified=verified,
+            )
+            return None
         # Unusable certificate: self-heal with a fresh derivation.
-        out = _outcome(name, cached="stale")
         try:
             fd = session.check_function(name)
-            out["nodes"] = fd.body.node_count()
-            out["verified"] = session.verify_function(fd)
-            if self.cache is not None:
-                out["cert"] = func_derivation_to_json(fd)
+            verified = session.verify_function(fd)
         except TypeError_ as exc:
-            out.update(ok=False, error=ErrorInfo.from_exception("check", exc))
+            raise _Failed(name, ErrorInfo.from_exception("check", exc))
         except VerificationError as exc:
-            out.update(ok=False, error=ErrorInfo.from_exception("verify", exc))
-        return out
+            raise _Failed(name, ErrorInfo.from_exception("verify", exc))
+        done[name] = FunctionResult(
+            name, ok=True, cached="stale", nodes=fd.body.node_count(),
+            verified=verified,
+        )
+        return fd
 
-    # ------------------------------------------------------------------
-    # Parallel execution
-    # ------------------------------------------------------------------
-
-    def _run_parallel(
+    def _store(
         self,
         session: ProgramSession,
-        tasks: List[Dict[str, Any]],
-        reg: tel.Registry,
-    ) -> Dict[str, Dict[str, Any]]:
-        executor = self._executor_handle()
-        with _maybe_span(reg, "check.program"):
-            raw = list(executor.map(run_function_task, tasks))
-        return self._ingest(raw, reg)
-
-    def _run_threaded(
-        self,
-        session: ProgramSession,
-        tasks: List[Dict[str, Any]],
-        reg: tel.Registry,
-    ) -> Dict[str, Dict[str, Any]]:
-        """In-process fan-out over a thread pool.
-
-        Every task runs :func:`run_function_task` against the **same**
-        warm session object: the persistent contexts core guarantees a
-        check never mutates shared state, region interning is locked,
-        and the per-task telemetry/tracer swaps in the worker are
-        thread-scoped.  Compared to process mode nothing is pickled and
-        the program is parsed/elaborated exactly once — the serialization
-        tax visible in ``pipeline.worker_ms`` disappears."""
-        executor = self._thread_executor_handle()
-        with _maybe_span(reg, "check.program"):
-            raw = list(
-                executor.map(lambda task: run_function_task(task, session), tasks)
+        certs: Dict[str, str],
+        done: Dict[str, FunctionResult],
+    ) -> None:
+        for name, cert in certs.items():
+            self.cache.put(
+                session.function_key(name),
+                CacheEntry(
+                    func=name,
+                    nodes=done[name].nodes,
+                    verified=done[name].verified,
+                    cert=cert,
+                ),
             )
-        return self._ingest(raw, reg)
 
-    def _ingest(
-        self, raw: List[Dict[str, Any]], reg: tel.Registry
-    ) -> Dict[str, Dict[str, Any]]:
-        outcomes: Dict[str, Dict[str, Any]] = {}
-        tr = tel.tracer()
-        for record in raw:
-            # Trace events describe what actually ran, so unlike the
-            # metric documents below they are ingested unconditionally —
-            # no serial-parity discard.
-            if tr.enabled and record.get("trace_doc"):
-                tr.ingest(record["trace_doc"])
-            out = _outcome(
-                record["func"],
-                cached=record["cached"],
-                nodes=record["nodes"],
-                verified=record["verified"],
-                ms=record["ms"],
-            )
-            out["cert"] = record.get("cert")
-            out["check_doc"] = record.get("check_doc")
-            out["verify_doc"] = record.get("verify_doc")
-            if record["error"] is not None:
-                out["ok"] = False
-                out["error"] = ErrorInfo.from_record(record["error"])
-            outcomes[record["func"]] = out
-        return outcomes
-
-    # ------------------------------------------------------------------
-    # Assembly — deterministic reporting + telemetry merge-back
-    # ------------------------------------------------------------------
-
-    def _assemble(
-        self,
-        label: str,
-        session: ProgramSession,
+    @staticmethod
+    def _observe_times(
         names: List[str],
-        resolved: Dict[str, FunctionResult],
-        outcomes: Dict[str, Dict[str, Any]],
+        done: Dict[str, FunctionResult],
         reg: tel.Registry,
-    ) -> ProgramResult:
-        # The winning error is the serial one: first check error in sorted
-        # function order; barring those, the first verify error.
-        error: Optional[ErrorInfo] = None
-        error_name: Optional[str] = None
-        for stage in ("check", "verify"):
-            for name in names:
-                out = outcomes.get(name)
-                if out is not None and out["error"] is not None and out["error"].stage == stage:
-                    error, error_name = out["error"], name
-                    break
-            if error is not None:
-                break
-
-        # Merge worker telemetry so the parent registry reads like a
-        # serial run: on a check failure, a serial run never checked past
-        # the failing function (sorted order) and never verified anything.
-        if reg.enabled:
-            merge_names = names
-            include_verify = error is None or error.stage == "verify"
-            if error is not None and error.stage == "check":
-                merge_names = names[: names.index(error_name) + 1]
-            for name in merge_names:
-                out = outcomes.get(name)
-                if out is None:
-                    continue
-                if out.get("check_doc") is not None:
-                    tel.merge_doc(reg, out["check_doc"])
-                if include_verify and out.get("verify_doc") is not None:
-                    tel.merge_doc(reg, out["verify_doc"])
-                if error is not None and error_name == name:
-                    break
-                if out.get("ms"):
-                    reg.observe("pipeline.worker_ms", out["ms"])
-
-        result = ProgramResult(label, ok=error is None, error=error)
-        if error is not None:
-            return result
-
-        checked = 0
-        verified_count = 0
+        stop: Optional[str] = None,
+    ) -> None:
+        """Per-function wall time, for the functions before ``stop``."""
+        if not reg.enabled:
+            return
         for name in names:
-            if name in resolved:
-                result.functions.append(resolved[name])
-                continue
-            out = outcomes[name]
-            result.functions.append(
-                FunctionResult(
-                    name,
-                    ok=True,
-                    cached=out["cached"],
-                    nodes=out["nodes"],
-                    verified=out["verified"],
-                    ms=out["ms"],
-                )
-            )
-            if out["cached"] in ("miss", "stale"):
-                checked += 1
-            if self.verify:
-                verified_count += 1
-            if self.cache is not None and out.get("cert"):
-                self.cache.put(
-                    session.function_key(name),
-                    CacheEntry(
-                        func=name,
-                        nodes=out["nodes"],
-                        verified=out["verified"],
-                        cert=out["cert"],
-                    ),
-                )
-        if reg.enabled:
-            if checked:
-                reg.inc("checker.functions", checked)
-            if verified_count:
-                reg.inc("verifier.certificates", verified_count)
-        return result
-
-
-def _outcome(
-    name: str,
-    cached: str = "miss",
-    nodes: int = 0,
-    verified: int = 0,
-    ms: float = 0.0,
-    error: Optional[ErrorInfo] = None,
-) -> Dict[str, Any]:
-    return {
-        "func": name,
-        "ok": error is None,
-        "cached": cached,
-        "nodes": nodes,
-        "verified": verified,
-        "ms": ms,
-        "error": error,
-        "cert": None,
-        "check_doc": None,
-        "verify_doc": None,
-    }
+            if name == stop:
+                break
+            if name in done and done[name].ms:
+                reg.observe("pipeline.worker_ms", done[name].ms)
 
 
 class _maybe_span:

@@ -5,9 +5,9 @@ Before the pipeline, every entry point re-did program-level work per call:
 function-type table, and the :class:`Verifier` elaborated the same table
 again.  A :class:`ProgramSession` does each exactly once — parse once per
 file, elaborate once per program — and hands the shared objects to both
-the prover and the verifier, which is what lets the batch runner fan
-hundreds of per-function jobs out without paying the program-level costs
-hundreds of times.
+the prover and the verifier, which is what lets the batch runner check
+and verify hundreds of functions one by one without paying the
+program-level costs hundreds of times.
 """
 
 from __future__ import annotations

@@ -13,12 +13,7 @@ state that makes a long-running process worth having:
   with :mod:`repro.api` is structural, not approximate);
 * **the PR-4 certificate cache** — with ``cache_dir`` set, ``verify`` and
   ``batch`` route through a resident :class:`~repro.pipeline.Pipeline`
-  so unchanged functions replay stored certificates instead of re-proving;
-* **in-process parallel checking** — with ``jobs > 1`` the resident
-  pipeline fans each request's functions out over threads sharing the
-  warm session (the persistent checker core makes that safe with zero
-  copies), so one large ``verify`` request uses every configured core
-  without forking or pickling.
+  so unchanged functions replay stored certificates instead of re-proving.
 
 Results are plain dicts: exactly ``repro.api.*Result.to_dict()``.
 Protocol-style validation failures raise :class:`~.protocol.RpcError`
@@ -64,12 +59,8 @@ class Service:
         max_batch: int = 256,
         cache_entries: Optional[int] = None,
         cache_bytes: Optional[int] = None,
-        jobs: int = 1,
-        mode: Optional[str] = None,
     ):
         self.cache_dir = cache_dir
-        self.jobs = jobs if jobs and jobs > 0 else 1
-        self.mode = mode
         self.max_steps = max_steps
         self.max_batch = max_batch
         self._max_sessions = max_sessions
@@ -94,16 +85,14 @@ class Service:
         self.registry = ambient if ambient.enabled else tel.Registry(enabled=True)
         self._pipeline = None
         self._pipeline_lock = threading.Lock()
-        if cache_dir is not None or self.jobs > 1 or mode not in (None, "serial"):
+        if cache_dir is not None:
             from ..pipeline import Pipeline
 
             self._pipeline = Pipeline(
-                jobs=self.jobs,
                 cache_dir=cache_dir,
                 trust_cache=trust_cache,
                 cache_entries=cache_entries,
                 cache_bytes=cache_bytes,
-                mode=mode,
             )
 
     # ------------------------------------------------------------------
@@ -260,10 +249,6 @@ class Service:
                 "memo_misses": self.registry.value("server.memo.misses"),
                 "cache_dir": self.cache_dir,
                 "max_steps": self.max_steps,
-                "jobs": self.jobs,
-                "mode": (
-                    None if self._pipeline is None else self._pipeline.mode
-                ),
             }
 
     def close(self) -> None:

@@ -27,7 +27,6 @@ metric name and the trace-context wire format.
 """
 
 from .export import (
-    ACCEPTED_SCHEMAS,
     SCHEMA,
     doc_to_registry,
     export_json,
@@ -49,7 +48,6 @@ from .registry import (
     registry,
     set_registry,
     use,
-    use_local,
 )
 from .schema import SchemaError, validate
 from .tracer import (
@@ -65,11 +63,9 @@ from .tracer import (
     to_chrome,
     tracer,
     use_tracer,
-    use_tracer_local,
 )
 
 __all__ = [
-    "ACCEPTED_SCHEMAS",
     "BUCKET_BOUNDS",
     "Counter",
     "Gauge",
@@ -101,8 +97,6 @@ __all__ = [
     "to_chrome",
     "tracer",
     "use",
-    "use_local",
     "use_tracer",
-    "use_tracer_local",
     "validate",
 ]

@@ -132,16 +132,9 @@ class Histogram:
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the ``q``-quantile (``0 <= q <= 1``) from the bucket
         counts by linear interpolation within the winning bucket, clamped
-        to the observed min/max.  Registries rebuilt from bucket-less
-        ``repro-telemetry/1`` documents fall back to interpolating
-        between min and max."""
+        to the observed min/max."""
         if not self.count:
             return None
-        if sum(self.buckets) < self.count:
-            # Buckets incomplete (merged from a /1 export): min/max line.
-            lo = self.min if self.min is not None else 0.0
-            hi = self.max if self.max is not None else lo
-            return lo + (hi - lo) * q
         target = q * self.count
         cumulative = 0
         for index, n in enumerate(self.buckets):
@@ -311,7 +304,7 @@ class Registry:
         parent = stack[-1] if stack else None
         depth = len(stack)
         stack.append(name)
-        tr = _tracing.tracer()  # honors the per-thread use_tracer override
+        tr = _tracing.tracer()
         trace_cm = tr.span(name, cat="registry") if tr.enabled else None
         if trace_cm is not None:
             trace_cm.__enter__()
@@ -352,19 +345,11 @@ class Registry:
 #: ``registry().enabled == False`` and skips all metric work.
 _NULL = Registry(enabled=False)
 _active = _NULL
-#: Per-thread override installed by :func:`use_local`.  Keeping that
-#: swap thread-local is what lets the in-process (thread-mode) pipeline
-#: give each concurrent worker task its own collection registry without
-#: the tasks clobbering one another or the process-global registry.
-_override = threading.local()
 
 
 def registry() -> Registry:
-    """The currently active registry: this thread's :func:`use_local`
-    override when one is installed, the process-global registry
-    otherwise."""
-    reg = getattr(_override, "registry", None)
-    return _active if reg is None else reg
+    """The currently active (process-global) registry."""
+    return _active
 
 
 def set_registry(reg: Registry) -> Registry:
@@ -392,26 +377,9 @@ def use(reg: Registry) -> Iterator[Registry]:
     """Temporarily make ``reg`` the **process-global** registry.
 
     Scoped and reentrant; visible from every thread (benchmarks and
-    tests wrap whole server lifecycles in it).  For a swap private to
-    the calling thread — concurrent pipeline tasks collecting into
-    separate registries — use :func:`use_local`."""
+    tests wrap whole server lifecycles in it)."""
     old = set_registry(reg)
     try:
         yield reg
     finally:
         set_registry(old)
-
-
-@contextmanager
-def use_local(reg: Registry) -> Iterator[Registry]:
-    """Temporarily make ``reg`` the active registry **for this thread
-    only**.
-
-    Scoped and reentrant; other threads (and the process-global registry
-    installed via :func:`set_registry`/:func:`use`) are unaffected."""
-    old = getattr(_override, "registry", None)
-    _override.registry = reg
-    try:
-        yield reg
-    finally:
-        _override.registry = old

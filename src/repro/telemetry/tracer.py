@@ -10,8 +10,7 @@ threads, and down into checker/verifier/machine spans:
 * a :class:`TraceContext` is the propagation unit — ``(trace_id,
   span_id, sampled)`` — carried in-process by a :class:`contextvars.
   ContextVar` and across process boundaries as a plain ``{"id", "span",
-  "sampled"}`` wire dict (the ``trace`` key of an RPC frame, the
-  ``trace`` key of a pipeline worker task);
+  "sampled"}`` wire dict (the ``trace`` key of an RPC frame);
 * a :class:`Tracer` holds a **bounded ring buffer** of completed events
   (oldest dropped first, drop count kept) so a long-running daemon can
   trace forever in constant memory;
@@ -66,8 +65,7 @@ class TraceContext(NamedTuple):
     sampled: bool = True
 
     def to_wire(self) -> Dict[str, Any]:
-        """The ``trace`` object stamped into ``repro-rpc/1`` frames and
-        pipeline worker tasks."""
+        """The ``trace`` object stamped into ``repro-rpc/1`` frames."""
         return {"id": self.trace_id, "span": self.span_id, "sampled": self.sampled}
 
     @classmethod
@@ -236,8 +234,8 @@ class Tracer:
     # -- stitching and export ----------------------------------------------
 
     def ingest(self, events: List[Dict[str, Any]]) -> int:
-        """Fold events exported by another tracer (a worker process, the
-        daemon's ``trace`` RPC) into this ring buffer; returns how many
+        """Fold events exported by another tracer (the daemon's ``trace``
+        RPC) into this ring buffer; returns how many
         were accepted.  Malformed entries are skipped, never raised."""
         accepted = 0
         for event in events:
@@ -282,18 +280,11 @@ def to_chrome(tracer: Tracer) -> Dict[str, Any]:
 #: ``tracer().enabled == False`` and skips all event work.
 _NULL = Tracer(capacity=0, enabled=False)
 _active = _NULL
-#: Per-thread override installed by :func:`use_tracer_local` (mirrors
-#: ``registry.use_local``): thread-mode pipeline tasks trace into
-#: private buffers without touching the process-global tracer.
-_override = threading.local()
 
 
 def tracer() -> Tracer:
-    """The currently active tracer: this thread's
-    :func:`use_tracer_local` override when one is installed, the
-    process-global tracer otherwise."""
-    tr = getattr(_override, "tracer", None)
-    return _active if tr is None else tr
+    """The currently active (process-global) tracer."""
+    return _active
 
 
 def set_tracer(tr: Tracer) -> Tracer:
@@ -320,27 +311,9 @@ def disable_tracing() -> None:
 def use_tracer(tr: Tracer) -> Iterator[Tracer]:
     """Temporarily make ``tr`` the **process-global** tracer.
 
-    Scoped and reentrant; visible from every thread.  For a swap
-    private to the calling thread — concurrent pipeline tasks tracing
-    into separate ring buffers — use :func:`use_tracer_local`."""
+    Scoped and reentrant; visible from every thread."""
     old = set_tracer(tr)
     try:
         yield tr
     finally:
         set_tracer(old)
-
-
-@contextmanager
-def use_tracer_local(tr: Tracer) -> Iterator[Tracer]:
-    """Temporarily make ``tr`` the active tracer **for this thread
-    only**.
-
-    Scoped and reentrant; other threads (and the process-global tracer
-    installed via :func:`set_tracer`/:func:`use_tracer`) are
-    unaffected."""
-    old = getattr(_override, "tracer", None)
-    _override.tracer = tr
-    try:
-        yield tr
-    finally:
-        _override.tracer = old

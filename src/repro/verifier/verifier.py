@@ -40,7 +40,8 @@ from ..core.functypes import FuncType, elaborate
 from ..core.regions import Region, RegionSupply
 from ..core.unify import Step, apply_step
 from ..lang import ast
-from ..lang.parser import Parser
+from ..lang.lexer import LexError
+from ..lang.parser import ParseError, Parser
 from ..telemetry import registry as _telemetry
 
 
@@ -55,7 +56,13 @@ class VerificationError(Exception):
 
 
 def _parse_type(text: str) -> ast.Type:
-    return Parser(text).parse_type()
+    """Parse type text recorded in a derivation.  Text the parser rejects
+    makes the derivation invalid, so it is reported as a
+    :class:`VerificationError` like every other bad certificate."""
+    try:
+        return Parser(text).parse_type()
+    except (ParseError, LexError) as exc:
+        raise VerificationError(f"malformed type {text!r}: {exc}") from None
 
 
 def context_from_snapshot(snap: ContextSnap) -> StaticContext:

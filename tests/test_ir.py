@@ -254,10 +254,12 @@ class TestSurfaces:
         assert result.engine == "ir"
         restored = api.RunResult.from_dict(result.to_dict())
         assert restored.engine == "ir"
-        # Documents written before the field existed default to tree.
+        # Every server since the field existed sends it; there is no
+        # default for documents without it.
         legacy = dict(result.to_dict())
         del legacy["engine"]
-        assert api.RunResult.from_dict(legacy).engine == "tree"
+        with pytest.raises(KeyError):
+            api.RunResult.from_dict(legacy)
 
     def test_api_rejects_unknown_engine(self):
         result = api.run(SPIN, "spin", [7], engine="jit")

@@ -1,7 +1,7 @@
 """Pipeline tests: cache-key invalidation, certificate store round trips,
-serial/parallel parity (diagnostics, exit codes, merged metrics), the
-``repro batch`` CLI contract, bench report comparison, and fixed-seed fuzz
-parity under ``--jobs``.
+parity with the plain checker and verifier (results, diagnostics,
+counters), the ``repro batch`` CLI contract, bench report comparison, and
+fixed-seed fuzz parity under ``--jobs``.
 """
 
 import copy
@@ -134,65 +134,75 @@ class TestCertCache:
 
 class TestPipelineCache:
     def test_cold_then_warm_then_trusted(self, tmp_path):
-        with Pipeline(jobs=1, cache_dir=str(tmp_path)) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
             cold = pipeline.run("p", SOURCE)
             warm = pipeline.run("p", SOURCE)
         assert cold.ok and warm.ok
         assert cold.counts() == {"hit": 0, "miss": 4, "stale": 0}
         assert warm.counts() == {"hit": 4, "miss": 0, "stale": 0}
         assert (cold.nodes, cold.verified) == (warm.nodes, warm.verified)
-        with Pipeline(
-            jobs=1, cache_dir=str(tmp_path), trust_cache=True
-        ) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path), trust_cache=True) as pipeline:
             trusted = pipeline.run("p", SOURCE)
         assert trusted.ok
         assert (trusted.nodes, trusted.verified) == (cold.nodes, cold.verified)
 
     def test_trusted_hits_never_run_the_verifier(self, tmp_path, monkeypatch):
-        with Pipeline(jobs=1, cache_dir=str(tmp_path)) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
             assert pipeline.run("p", SOURCE).ok
         monkeypatch.setattr(
             Verifier,
             "verify_function",
             lambda self, fd: (_ for _ in ()).throw(AssertionError("verified")),
         )
-        with Pipeline(
-            jobs=1, cache_dir=str(tmp_path), trust_cache=True
-        ) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path), trust_cache=True) as pipeline:
             assert pipeline.run("p", SOURCE).ok
 
     def test_tampered_certificate_self_heals(self, tmp_path):
-        cache_dir = str(tmp_path)
-        with Pipeline(jobs=1, cache_dir=cache_dir) as pipeline:
-            assert pipeline.run("p", SOURCE).ok
-        # Corrupt one stored certificate *payload* while keeping the entry
-        # envelope valid: the replay must fail and fall back to a fresh
-        # derivation, not reject the program.
-        session = ProgramSession(SOURCE)
-        cache = CertCache(cache_dir)
-        key = session.function_key("leaf")
-        path = cache.path_for(key)
-        data = json.loads(path.read_text())
-        data["cert"] = '{"rule": "bogus"}'
-        path.write_text(json.dumps(data))
-        with Pipeline(jobs=1, cache_dir=cache_dir) as pipeline:
-            healed = pipeline.run("p", SOURCE)
-        assert healed.ok
-        assert healed.counts() == {"hit": 3, "miss": 0, "stale": 1}
-        # And the fresh certificate was written back: next run is all hits.
-        with Pipeline(jobs=1, cache_dir=cache_dir) as pipeline:
-            again = pipeline.run("p", SOURCE)
-        assert again.counts() == {"hit": 4, "miss": 0, "stale": 0}
+        def bogus_payload(cert):
+            return '{"rule": "bogus"}'
+
+        def unparsable_input_type(cert):
+            doc = json.loads(cert)
+            doc["input"] = json.loads(
+                json.dumps(doc["input"]).replace('"int"', '"in(t"')
+            )
+            return json.dumps(doc)
+
+        for tamper in (bogus_payload, unparsable_input_type):
+            cache_dir = str(tmp_path / tamper.__name__)
+            with Pipeline(cache_dir=cache_dir) as pipeline:
+                assert pipeline.run("p", SOURCE).ok
+            # Corrupt one stored certificate *payload* while keeping the
+            # entry envelope valid: the replay must fail and fall back to
+            # a fresh derivation, not reject the program or raise.
+            session = ProgramSession(SOURCE)
+            cache = CertCache(cache_dir)
+            key = session.function_key("leaf")
+            path = cache.path_for(key)
+            data = json.loads(path.read_text())
+            tampered = tamper(data["cert"])
+            assert tampered != data["cert"]
+            data["cert"] = tampered
+            path.write_text(json.dumps(data))
+            with Pipeline(cache_dir=cache_dir) as pipeline:
+                healed = pipeline.run("p", SOURCE)
+            assert healed.ok, tamper.__name__
+            assert healed.counts() == {"hit": 3, "miss": 0, "stale": 1}
+            # And the fresh certificate was written back: next run is all
+            # hits.
+            with Pipeline(cache_dir=cache_dir) as pipeline:
+                again = pipeline.run("p", SOURCE)
+            assert again.counts() == {"hit": 4, "miss": 0, "stale": 0}
 
     def test_check_only_mode_reads_but_never_writes(self, tmp_path):
-        with Pipeline(jobs=1, cache_dir=str(tmp_path), verify=False) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path), verify=False) as pipeline:
             assert pipeline.run("p", SOURCE).ok
         # Nothing was verified, so nothing may be cached (only verified
         # certificates are sound to replay).
         assert len(CertCache(str(tmp_path))) == 0
-        with Pipeline(jobs=1, cache_dir=str(tmp_path)) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path)) as pipeline:
             assert pipeline.run("p", SOURCE).ok
-        with Pipeline(jobs=1, cache_dir=str(tmp_path), verify=False) as pipeline:
+        with Pipeline(cache_dir=str(tmp_path), verify=False) as pipeline:
             result = pipeline.run("p", SOURCE)
         assert result.counts()["hit"] == 4
 
@@ -205,26 +215,29 @@ def _counters(reg):
     }
 
 
-class TestSerialParallelParity:
-    def test_corpus_results_and_metrics_agree(self):
-        source = load_source("dll")
-        # Ground truth: the plain checker + verifier entry points.
-        reg = telemetry.enable()
-        program = parse_program(source)
-        derivation = Checker(program).check_program()
-        nodes = Verifier(program).verify_program(derivation)
-        telemetry.disable()
-        baseline = {n: c.value for n, c in reg.counters.items()}
+class TestPlainEntryPointParity:
+    """A pipeline run reports what ``Checker.check_program`` +
+    ``Verifier.verify_program`` report, with the same counters (the
+    ``pipeline.*`` family aside)."""
 
-        for jobs in (1, 2):
-            reg = telemetry.enable()
-            with Pipeline(jobs=jobs) as pipeline:
-                result = pipeline.run("dll", source)
-            telemetry.disable()
-            assert result.ok
-            assert result.nodes == derivation.node_count()
-            assert result.verified == nodes
-            assert _counters(reg) == baseline
+    def test_corpus_results_and_metrics_agree(self):
+        with Pipeline() as pipeline:
+            for name in corpus_names():
+                source = load_source(name)
+                reg = telemetry.enable()
+                program = parse_program(source)
+                derivation = Checker(program).check_program()
+                nodes = Verifier(program).verify_program(derivation)
+                telemetry.disable()
+                baseline = {n: c.value for n, c in reg.counters.items()}
+
+                reg = telemetry.enable()
+                result = pipeline.run(name, source)
+                telemetry.disable()
+                assert result.ok, name
+                assert result.nodes == derivation.node_count(), name
+                assert result.verified == nodes, name
+                assert _counters(reg) == baseline, name
 
     def test_negative_corpus_diagnostics_and_metrics_agree(self):
         parsable = []
@@ -246,88 +259,28 @@ class TestSerialParallelParity:
             )
         assert parsable, "negative corpus should have parsable cases"
 
-        with Pipeline(jobs=1) as serial_pipe, Pipeline(jobs=2) as par_pipe:
+        with Pipeline() as pipeline:
             for case, serial, counters in parsable:
-                for pipeline in (serial_pipe, par_pipe):
-                    reg = telemetry.enable()
-                    result = pipeline.run(case.name, case.source)
-                    telemetry.disable()
-                    if serial is None:
-                        assert result.ok
-                    else:
-                        cls, message, span = serial
-                        error = result.error
-                        assert not result.ok
-                        assert error.stage == "check"
-                        assert error.cls == cls
-                        assert error.message == message
-                        if span is not None:
-                            assert error.span == (
-                                span.start,
-                                span.end,
-                                span.line,
-                                span.column,
-                            )
-                    assert _counters(reg) == counters
-
-
-class TestPartialFailureDiscard:
-    """A batch where one function fails check: worker metric documents
-    past the failing function are discarded for serial parity, while
-    trace events are kept (they describe what actually ran)."""
-
-    # Sorted order: a_ok, m_bad, z_ok — serial checking stops at m_bad.
-    BAD_MID = """
-def a_ok(x : int) : int { x + 1 }
-def m_bad(x : int) : int { missing }
-def z_ok(x : int) : int { x + 2 }
-"""
-
-    def _serial_counters(self):
-        reg = telemetry.enable()
-        try:
-            Checker(parse_program(self.BAD_MID)).check_program()
-        except TypeError_:
-            pass
-        finally:
-            telemetry.disable()
-        return {n: c.value for n, c in reg.counters.items()}
-
-    def test_metric_docs_past_failure_are_discarded(self):
-        baseline = self._serial_counters()
-        reg = telemetry.enable()
-        with Pipeline(jobs=2) as pipeline:
-            result = pipeline.run("bad-mid", self.BAD_MID)
-        telemetry.disable()
-        assert not result.ok and result.error.stage == "check"
-        merged = _counters(reg)
-        for name, value in baseline.items():
-            assert merged.get(name) == value, name
-        # The parallel run checked z_ok and could have verified a_ok, but
-        # none of that work may leak into the merged counters.
-        assert not any(n.startswith("verifier.") for n in merged)
-
-    def test_trace_events_survive_the_metric_discard(self):
-        import os
-
-        tr = telemetry.Tracer(capacity=4096)
-        with telemetry.use_tracer(tr):
-            with Pipeline(jobs=2, mode="process") as pipeline:
-                result = pipeline.run("bad-mid", self.BAD_MID)
-        assert not result.ok
-        events = tr.events()
-        root = next(e for e in events if e["name"] == "pipeline.program")
-        worker = [e for e in events if e["name"].startswith("pipeline.func.")]
-        # Worker spans from other processes stitched under this trace —
-        # including work the metric merge discarded.
-        assert worker, "worker spans must be ingested"
-        assert all(e["pid"] != os.getpid() for e in worker)
-        assert all(
-            e["args"]["trace_id"] == root["args"]["trace_id"] for e in worker
-        )
-        assert all(
-            e["args"]["parent_id"] == root["args"]["span_id"] for e in worker
-        )
+                reg = telemetry.enable()
+                result = pipeline.run(case.name, case.source)
+                telemetry.disable()
+                if serial is None:
+                    assert result.ok
+                else:
+                    cls, message, span = serial
+                    error = result.error
+                    assert not result.ok
+                    assert error.stage == "check"
+                    assert error.cls == cls
+                    assert error.message == message
+                    if span is not None:
+                        assert error.span == (
+                            span.start,
+                            span.end,
+                            span.line,
+                            span.column,
+                        )
+                assert _counters(reg) == counters, case.name
 
 
 class TestBatchCli:
@@ -337,8 +290,6 @@ class TestBatchCli:
             "batch",
             str(CORPUS_DIR / "sll.fcl"),
             str(CORPUS_DIR / "dll.fcl"),
-            "--jobs",
-            "1",
             "--cache",
             cache,
         ]
@@ -364,7 +315,7 @@ class TestBatchCli:
     def test_rejection_exit_code_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.fcl"
         bad.write_text(NEGATIVE_CASES[0].source)
-        assert main(["batch", str(bad), "--jobs", "1"]) == 1
+        assert main(["batch", str(bad)]) == 1
         out = capsys.readouterr().out
         assert "REJECTED" in out
         assert "batch: 0/1 programs OK" in out
@@ -373,6 +324,12 @@ class TestBatchCli:
         with pytest.raises(SystemExit):
             main(["batch", str(CORPUS_DIR / "sll.fcl"), "--trust-cache"])
 
+    @pytest.mark.parametrize("flag", ["--jobs", "--mode"])
+    def test_fan_out_flags_are_gone(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["batch", str(CORPUS_DIR / "sll.fcl"), flag, "2"])
+        assert exc.value.code == 64
+
 
 class TestCheckVerifyCliParity:
     def test_check_output_matches_legacy(self, tmp_path, capsys):
@@ -380,7 +337,8 @@ class TestCheckVerifyCliParity:
         path.write_text(SOURCE)
         assert main(["check", str(path)]) == 0
         legacy = capsys.readouterr().out
-        assert main(["check", str(path), "--jobs", "2"]) == 0
+        cache = str(tmp_path / "cache")
+        assert main(["check", str(path), "--cache", cache]) == 0
         assert capsys.readouterr().out == legacy
 
     def test_verify_output_matches_legacy_warm_or_cold(self, tmp_path, capsys):
@@ -390,7 +348,7 @@ class TestCheckVerifyCliParity:
         legacy = capsys.readouterr().out
         cache = str(tmp_path / "cache")
         for _ in range(2):  # cold, then warm
-            assert main(["verify", str(path), "--jobs", "1", "--cache", cache]) == 0
+            assert main(["verify", str(path), "--cache", cache]) == 0
             assert capsys.readouterr().out == legacy
 
     def test_check_diagnostics_match_legacy(self, tmp_path, capsys):
@@ -398,7 +356,8 @@ class TestCheckVerifyCliParity:
         path.write_text(NEGATIVE_CASES[0].source)
         assert main(["check", str(path)]) == 1
         legacy = capsys.readouterr().err
-        assert main(["check", str(path), "--jobs", "1"]) == 1
+        cache = str(tmp_path / "cache")
+        assert main(["check", str(path), "--cache", cache]) == 1
         assert capsys.readouterr().err == legacy
 
 

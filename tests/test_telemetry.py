@@ -125,22 +125,6 @@ class TestQuantiles:
         assert p50 <= p99 <= 100.0
         assert hist.quantile(1.0) == 100.0
 
-    def test_bucketless_doc_falls_back_to_minmax_interpolation(self):
-        doc = {
-            "schema": "repro-telemetry/1",
-            "counters": {},
-            "histograms": {
-                "h": {"count": 4, "total": 20.0, "min": 2.0, "max": 8.0,
-                      "mean": 5.0},
-            },
-            "spans": [],
-        }
-        hist = doc_to_registry(doc).histogram("h")
-        assert hist.quantile(0.0) == pytest.approx(2.0)
-        assert hist.quantile(0.5) == pytest.approx(5.0)
-        assert hist.quantile(1.0) == pytest.approx(8.0)
-
-
 class TestSpans:
     def test_nesting_aggregates_per_parent(self):
         reg = Registry()
@@ -222,9 +206,10 @@ class TestExport:
 
 
 class TestMergeDoc:
-    """The worker-to-parent fold used by ``--jobs N`` (satellite: edge
-    cases around histogram envelopes, gauge semantics, span stitching,
-    and old-schema documents)."""
+    """The fold of one exported registry into another (the serve fleet's
+    merged ``metrics``, ``repro fuzz --jobs``): edge cases around
+    histogram envelopes, gauge semantics, span stitching, and documents
+    of another schema."""
 
     def _doc(self, **overrides):
         doc = {
@@ -268,26 +253,12 @@ class TestMergeDoc:
         hist = reg.histogram("h")
         assert hist.min == 4.0 and hist.max == 4.0
 
-    def test_v1_doc_without_buckets_degrades_quantiles_only(self):
-        reg = Registry()
-        reg.observe("h", 1.0)
-        old = {
-            "schema": "repro-telemetry/1",
-            "counters": {"c": 1},
-            "histograms": {
-                "h": {"count": 1, "total": 9.0, "min": 9.0, "max": 9.0,
-                      "mean": 9.0},
-            },
-            "spans": [],
-        }
-        merge_doc(reg, old)
-        hist = reg.histogram("h")
-        # Summary stays exact; buckets are incomplete so quantiles fall
-        # back to min/max interpolation instead of lying.
-        assert hist.count == 2 and hist.total == pytest.approx(10.0)
-        assert sum(hist.buckets) == 1
-        assert hist.min <= hist.quantile(0.5) <= hist.max
-        assert reg.value("c") == 1
+    def test_retired_v1_schema_is_rejected(self):
+        old = self._doc(schema="repro-telemetry/1")
+        with pytest.raises(ValueError):
+            merge_doc(Registry(), old)
+        with pytest.raises(ValueError):
+            doc_to_registry(old)
 
     def test_mismatched_bucket_layout_is_skipped(self):
         reg = Registry()

@@ -1,40 +1,27 @@
-"""Thread-parallel in-process checking.
+"""Thread-shared checking.
 
 The persistent checker core promises that many threads can check
-concurrently against one warm :class:`ProgramSession` with zero copies,
-and that the pipeline's thread mode is counter-identical to a serial
-run.  These tests cover:
+concurrently against one warm :class:`ProgramSession` with zero copies;
+the serve daemon's request threads and :class:`repro.api.Session` rely
+on it.  These tests cover:
 
-* thread-vs-serial parity (results, diagnostics, merged telemetry) on the
-  positive and negative corpus, mirroring the process-mode parity suite;
-* execution-mode selection (auto picks serial for one job, threads for
-  many; explicit modes are honored; bad modes rejected) and the
-  ``pipeline.mode.*`` counters;
 * 8-thread stress: Region interning identity, concurrent check/verify
   against one shared warm session, and the shared IR compile cache;
-* the redesigned ``repro.api`` facade: ``jobs=``/``mode=`` kwargs and the
-  public :class:`api.Session` handle.
+* the public :class:`api.Session` handle.
 """
 
 import threading
 
-import pytest
-
-from repro import api, telemetry
-from repro.api import CheckResult, VerifyResult
-from repro.core.checker import Checker
-from repro.core.errors import TypeError_
+from repro import api
 from repro.core.regions import Region
 from repro.corpus import load_source
-from repro.corpus.negative import NEGATIVE_CASES
 from repro.ir.bytecode import (
     clear_compile_cache,
     compile_cache_entries,
     compile_program,
 )
 from repro.lang import parse_program
-from repro.pipeline import Pipeline, ProgramSession
-from repro.verifier import Verifier
+from repro.pipeline import ProgramSession
 
 GOOD = """
 struct data { v : int; }
@@ -48,20 +35,6 @@ def f(d : data) : unit { send(d) }
 """
 
 THREADS = 8
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_registry():
-    yield
-    telemetry.disable()
-
-
-def _counters(reg):
-    return {
-        name: c.value
-        for name, c in reg.counters.items()
-        if not name.startswith("pipeline.")
-    }
 
 
 def _fan_out(work, n=THREADS):
@@ -87,128 +60,6 @@ def _fan_out(work, n=THREADS):
         t.join()
     if errors:
         raise errors[0]
-
-
-class TestThreadSerialParity:
-    def test_corpus_results_and_metrics_agree(self):
-        source = load_source("dll")
-        reg = telemetry.enable()
-        program = parse_program(source)
-        derivation = Checker(program).check_program()
-        nodes = Verifier(program).verify_program(derivation)
-        telemetry.disable()
-        baseline = {n: c.value for n, c in reg.counters.items()}
-
-        for jobs in (1, 4):
-            reg = telemetry.enable()
-            with Pipeline(jobs=jobs, mode="thread") as pipeline:
-                result = pipeline.run("dll", source)
-            telemetry.disable()
-            assert result.ok
-            assert result.nodes == derivation.node_count()
-            assert result.verified == nodes
-            assert _counters(reg) == baseline
-
-    def test_negative_corpus_diagnostics_and_metrics_agree(self):
-        parsable = []
-        for case in NEGATIVE_CASES:
-            try:
-                program = parse_program(case.source)
-            except Exception:
-                continue
-            reg = telemetry.enable()
-            try:
-                Checker(program).check_program()
-                serial = None
-            except TypeError_ as exc:
-                serial = (type(exc).__name__, exc.message, exc.span)
-            finally:
-                telemetry.disable()
-            parsable.append(
-                (case, serial, {n: c.value for n, c in reg.counters.items()})
-            )
-        assert parsable, "negative corpus should have parsable cases"
-
-        with Pipeline(jobs=4, mode="thread") as pipeline:
-            for case, serial, counters in parsable:
-                reg = telemetry.enable()
-                result = pipeline.run(case.name, case.source)
-                telemetry.disable()
-                if serial is None:
-                    assert result.ok
-                else:
-                    cls, message, span = serial
-                    error = result.error
-                    assert not result.ok
-                    assert error.stage == "check"
-                    assert error.cls == cls
-                    assert error.message == message
-                    if span is not None:
-                        assert error.span == (
-                            span.start,
-                            span.end,
-                            span.line,
-                            span.column,
-                        )
-                assert _counters(reg) == counters
-
-    def test_thread_and_process_modes_agree(self):
-        source = load_source("sll")
-        results = {}
-        for mode in ("serial", "thread", "process"):
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                results[mode] = pipeline.run("sll", source)
-        assert results["serial"].ok
-        assert (
-            results["serial"].nodes
-            == results["thread"].nodes
-            == results["process"].nodes
-        )
-        assert (
-            results["serial"].verified
-            == results["thread"].verified
-            == results["process"].verified
-        )
-
-
-class TestModeSelection:
-    def test_auto_mode_defaults(self):
-        with Pipeline(jobs=1) as one, Pipeline(jobs=4) as many:
-            assert one.mode == "serial"
-            assert many.mode == "thread"
-
-    def test_explicit_modes_are_honored(self):
-        for mode in ("serial", "thread", "process"):
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                assert pipeline.mode == mode
-
-    def test_auto_alias_means_unset(self):
-        with Pipeline(jobs=4, mode="auto") as pipeline:
-            assert pipeline.mode == "thread"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Pipeline(mode="fibers")
-
-    def test_mode_counter_incremented(self):
-        for mode, expected in (
-            ("serial", "pipeline.mode.serial"),
-            ("thread", "pipeline.mode.thread"),
-            ("process", "pipeline.mode.process"),
-        ):
-            reg = telemetry.enable()
-            with Pipeline(jobs=2, mode=mode) as pipeline:
-                pipeline.run("good", GOOD)
-            telemetry.disable()
-            assert reg.counters[expected].value == 1
-
-    def test_empty_task_list_counts_as_serial(self):
-        reg = telemetry.enable()
-        with Pipeline(jobs=4, mode="thread") as pipeline:
-            pipeline.run("empty", "struct lonely { v : int; }")
-        telemetry.disable()
-        assert reg.counters["pipeline.mode.serial"].value == 1
-        assert "pipeline.mode.thread" not in reg.counters
 
 
 class TestEightThreadStress:
@@ -296,42 +147,6 @@ class TestEightThreadStress:
         clear_compile_cache()
 
 
-class TestApiParallel:
-    def test_check_thread_mode_matches_serial(self):
-        serial = api.check(GOOD)
-        threaded = api.check(GOOD, jobs=4, mode="thread")
-        assert isinstance(threaded, CheckResult)
-        assert threaded.to_dict() == serial.to_dict()
-
-    def test_verify_thread_mode_matches_serial(self):
-        serial = api.verify(GOOD)
-        threaded = api.verify(GOOD, jobs=4, mode="thread")
-        assert isinstance(threaded, VerifyResult)
-        assert threaded.to_dict() == serial.to_dict()
-
-    def test_jobs_without_mode_selects_thread_pool(self):
-        serial = api.check(GOOD)
-        auto = api.check(GOOD, jobs=4)
-        assert auto.to_dict() == serial.to_dict()
-
-    def test_type_error_diagnostics_match_serial(self):
-        serial = api.check(BAD_TYPE, filename="bad.fcl")
-        threaded = api.check(BAD_TYPE, filename="bad.fcl", jobs=4, mode="thread")
-        assert not threaded.ok
-        assert threaded.to_dict() == serial.to_dict()
-
-    def test_syntax_error_is_diagnostic_not_exception(self):
-        result = api.check("struct {", jobs=4, mode="thread")
-        assert not result.ok
-        assert result.diagnostics[0].code == "ParseError"
-
-    def test_explicit_serial_mode_takes_facade_fast_path(self):
-        assert (
-            api.check(GOOD, jobs=1, mode="serial").to_dict()
-            == api.check(GOOD).to_dict()
-        )
-
-
 class TestApiSession:
     def test_warm_session_matches_cold_calls(self):
         session = api.Session(GOOD, filename="x.fcl")
@@ -345,13 +160,6 @@ class TestApiSession:
         assert (
             session.verify().to_dict()
             == api.verify(GOOD, filename="x.fcl").to_dict()
-        )
-
-    def test_session_parallel_check_matches_serial(self):
-        session = api.Session(GOOD)
-        assert (
-            session.check(jobs=4, mode="thread").to_dict()
-            == session.check().to_dict()
         )
 
     def test_session_run(self):
