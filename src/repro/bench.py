@@ -381,10 +381,10 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
     (min over ``repeats``, after a cold compile whose wall-clock is
     reported separately), and the row carries the compile-time pass
     counters of the erased full-tier module, so a report shows both *how
-    fast* the bytecode runs and *why* (calls inlined, loads eliminated,
-    checks erased at lowering).
+    fast* the bytecode runs and *why* (calls inlined, constants pooled,
+    slots coalesced, checks erased at lowering).
     """
-    from .ir.bytecode import compile_program
+    from .ir.bytecode import clear_compile_cache, compile_program
     from .corpus import load_source
 
     n_tree = 40 if small else 120
@@ -423,8 +423,10 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
         ("rbtree-query", "rbtree", rb_query),
         ("chain-traverse", "sll", chain),
     ):
-        # A fresh parse per workload guarantees the compile is cold.
         program = parse_program(load_source(corpus))
+        # The shared compile cache is keyed by source fingerprint, so
+        # without this rbtree-query would time rbtree-build's modules.
+        clear_compile_cache()
         t0 = time.perf_counter()
         compile_program(program, checked=True, observable=False)
         erased_mod = compile_program(program, checked=False, observable=False)
@@ -462,12 +464,8 @@ def bench_ir(repeats: int = 5, small: bool = False) -> List[Dict]:
                     best[("tree", False)] / best[("ir", False)], 2
                 ),
                 "inlined_calls": counters.get("inlined_calls", 0),
-                "loads_eliminated": counters.get("loads_eliminated", 0),
                 "checks_erased": counters.get("checks_erased", 0),
                 "consts_pooled": counters.get("consts_pooled", 0),
-                "dests_sunk": counters.get("dests_sunk", 0),
-                "licm_hoisted": counters.get("licm_hoisted", 0),
-                "tail_calls_looped": counters.get("tail_calls_looped", 0),
                 "slots_coalesced": counters.get("slots_coalesced", 0),
                 "instructions_emitted": counters.get(
                     "instructions_emitted", 0
@@ -561,8 +559,7 @@ def render_table(doc: Dict) -> str:
         lines.append(
             f"{'workload':>15s} {'tree chk':>9s} {'ir chk':>8s} "
             f"{'tree ers':>9s} {'ir ers':>8s} {'compile':>8s} "
-            f"{'chk x':>6s} {'ers x':>6s} {'inl':>4s} {'rle':>4s} "
-            f"{'licm':>5s} {'tco':>4s} {'erased':>7s}"
+            f"{'chk x':>6s} {'ers x':>6s} {'inl':>4s} {'erased':>7s}"
         )
         for row in doc["ir"]:
             lines.append(
@@ -570,10 +567,7 @@ def render_table(doc: Dict) -> str:
                 f"{row['ir_checked_ms']:8.1f} {row['tree_erased_ms']:9.1f} "
                 f"{row['ir_erased_ms']:8.1f} {row['compile_ms']:8.1f} "
                 f"{row['speedup_checked']:6.2f} {row['speedup_erased']:6.2f} "
-                f"{row['inlined_calls']:4d} {row['loads_eliminated']:4d} "
-                f"{row.get('licm_hoisted', 0):5d} "
-                f"{row.get('tail_calls_looped', 0):4d} "
-                f"{row['checks_erased']:7d}"
+                f"{row['inlined_calls']:4d} {row['checks_erased']:7d}"
             )
     if doc.get("pipeline"):
         lines.append("")

@@ -188,8 +188,7 @@ def run_campaign(config: FuzzConfig = FuzzConfig()) -> Dict[str, Any]:
             },
             # Execution engines the differential oracles cross-checked,
             # and the optimization tiers the ir legs exercised: checked
-            # (guarded, traced) and full (erased, traced — the PR-9
-            # event-preserving rewrites under a tracer).
+            # (guarded, traced) and full (erased, traced).
             "engines": ["tree", "ir"],
             "tiers": ["checked", "full+traced"],
             "coverage": {

@@ -412,12 +412,11 @@ def _engine_oracle(
     Both engines run guarded with a fresh first-option scheduler (the
     canonical schedule is yield-granularity-independent, so the decision
     lists need not match) and must produce byte-identical heap traces and
-    equal results.  The erased-ir leg runs **traced** — since PR 9 a
-    tracer no longer disables the full optimization tier, so this is the
-    full tier (mem2var, LICM, global RLE, tail-call loops) under
-    observation: its trace must stay byte-identical to the guarded tree
-    trace (erasure oracle 3 already pins guarded ≡ erased for the tree
-    engine) and its results equal."""
+    equal results.  The erased-ir leg runs **traced**: this is the full
+    tier, compiled with no reservation checks by the same pass list as
+    the guarded leg, under observation.  Its trace must stay
+    byte-identical to the guarded tree trace (erasure oracle 3 already
+    pins guarded ≡ erased for the tree engine) and its results equal."""
     tree_tracer = Tracer()
     violation, tree = _run_once(
         program, spawns, ScriptedScheduler(), tracer=tree_tracer

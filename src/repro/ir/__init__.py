@@ -1,12 +1,12 @@
 """Compilation of checked FCL to a basic-block IR and bytecode.
 
 Pipeline: ``lang/ast.py`` → :mod:`repro.ir.lower` (lowering with
-lowering-time guard erasure) → :mod:`repro.ir.passes` (PassManager:
-inlining, simplification, mem2var, loop optimization, global
-redundant-load elimination, DCE, register allocation) →
-:mod:`repro.ir.bytecode` (flat linear bytecode, cached per program and
-in a shared cross-program LRU) → :mod:`repro.ir.engine` (the dispatch
-loop, protocol-compatible with the tree interpreter).
+lowering-time guard erasure) → :mod:`repro.ir.passes` (PassManager, one
+pass list for both tiers: inlining, simplification, DCE, simplification,
+constant pooling, register allocation) → :mod:`repro.ir.bytecode` (flat
+linear bytecode, cached per program and in a shared cross-program LRU)
+→ :mod:`repro.ir.engine` (the dispatch loop, protocol-compatible with
+the tree interpreter).
 
 Select it at the surface with ``repro run --engine ir`` (or
 ``engine="ir"`` through :func:`repro.api.run`, the ``run`` RPC — where

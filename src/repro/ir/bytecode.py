@@ -62,33 +62,26 @@ OP_SEND = 28
 OP_SENDC = 29
 OP_RECV = 30
 OP_DISC = 31
-# Observable full-tier ops: emit the trace event of an optimized-away heap
-# access at its original position (tload/tstore), or read the heap without
-# any event (sload, the preheader priming read).  These must stay below
-# OP_BRLT — the dispatch loop routes every opcode >= OP_BRLT into the
-# fused-branch family.
-OP_TLOAD = 32
-OP_TSTORE = 33
-OP_SLOAD = 34
 # Checked heap access: an ``asloc`` fused into the load/store it guards
 # (flatten-time peephole).  One dispatch, identical check, identical
-# error.  Must also stay below OP_BRLT.
-OP_LOADV = 35
-OP_STOREV = 36
+# error.  These must stay below OP_BRLT — the dispatch loop routes every
+# opcode >= OP_BRLT into the fused-branch family.
+OP_LOADV = 32
+OP_STOREV = 33
 # Fused compare-and-branch superinstructions (flatten-time fusion of a
 # comparison feeding the block's br terminator whose result is dead at
 # both targets).
-OP_BRLT = 37
-OP_BRGT = 38
-OP_BRLE = 39
-OP_BRGE = 40
-OP_BREQ = 41
-OP_BRNE = 42
-OP_BRNONE = 43
-OP_BRSOME = 44
+OP_BRLT = 34
+OP_BRGT = 35
+OP_BRLE = 36
+OP_BRGE = 37
+OP_BREQ = 38
+OP_BRNE = 39
+OP_BRNONE = 40
+OP_BRSOME = 41
 # Calls with exactly one / two arguments: skip the generic copy loop.
-OP_CALL1 = 45
-OP_CALL2 = 46
+OP_CALL1 = 42
+OP_CALL2 = 43
 
 _BINOPS = {
     "+": OP_ADD, "-": OP_SUB, "*": OP_MUL, "/": OP_DIV, "%": OP_MOD,
@@ -287,12 +280,6 @@ def _encode(ins, program: ast.Program, checked: bool) -> Tuple:
         return (OP_LOADV, ins.dest, ins.args[0], ins.args[1])
     if op == "storev":
         return (OP_STOREV, ins.args[0], ins.args[1], ins.args[2])
-    if op == "tload":
-        return (OP_TLOAD, ins.dest, ins.args[0], ins.args[1], ins.args[2])
-    if op == "tstore":
-        return (OP_TSTORE, ins.dest, ins.args[0], ins.args[1], ins.args[2])
-    if op == "sload":
-        return (OP_SLOAD, ins.dest, ins.args[0], ins.args[1])
     if op == "binop":
         bop, l, r = ins.args
         return (_BINOPS[bop], ins.dest, l, r)
@@ -355,10 +342,10 @@ def build_module(
         fn, erased = lower_function(program, fdef, checked)
         funcs[name] = fn
         checks_erased += erased
-    module = IRModule(program, funcs, full, observable)
+    module = IRModule(funcs, full, observable)
     module.counters["checks_erased"] = checks_erased
     if optimize:
-        default_pipeline(full, observable).run(module)
+        default_pipeline().run(module)
     return module
 
 
@@ -421,13 +408,12 @@ def compile_program(
 ) -> CompiledModule:
     """Compile (or fetch from the caches) every function.
 
-    ``observable`` means a tracer is attached: the full tier still runs
-    (when ``checked`` is off) but heap-eliminating rewrites take their
-    event-preserving forms, so traces stay byte-comparable with the tree
-    interpreter.  Two cache layers: a per-program dict (same Program
-    object re-run, e.g. fuzz oracles) and a shared fingerprint-keyed LRU
-    (distinct Program objects from the same source, e.g. serve-fleet
-    requests without a session).
+    ``observable`` means a tracer is attached: every load is then a trace
+    event, so DCE keeps dead loads even in the full tier and traces stay
+    byte-comparable with the tree interpreter.  Two cache layers: a
+    per-program dict (same Program object re-run, e.g. fuzz oracles) and
+    a shared fingerprint-keyed LRU (distinct Program objects from the same
+    source, e.g. serve-fleet requests without a session).
     """
     try:
         cache = program._ir_cache  # type: ignore[attr-defined]
@@ -465,16 +451,8 @@ def compile_program(
         tel.inc("machine.engine.compile_cache.misses")
         tel.inc("machine.engine.inlined_calls",
                 compiled.counters["inlined_calls"])
-        tel.inc("machine.engine.loads_eliminated",
-                compiled.counters["loads_eliminated"])
         tel.inc("machine.engine.checks_erased",
                 compiled.counters["checks_erased"])
-        tel.inc("machine.engine.fields_promoted",
-                compiled.counters["fields_promoted"])
-        tel.inc("machine.engine.licm_hoisted",
-                compiled.counters["licm_hoisted"])
-        tel.inc("machine.engine.tail_calls_looped",
-                compiled.counters["tail_calls_looped"])
         tel.inc("machine.engine.slots_coalesced",
                 compiled.counters["slots_coalesced"])
     with _SHARED_LOCK:

@@ -61,81 +61,6 @@ def remove_unreachable(fn: IRFunction) -> bool:
     return True
 
 
-def dominators(fn: IRFunction) -> Dict[int, Set[int]]:
-    """label → set of labels that dominate it (every path from entry
-    passes through them; reflexive).  Classic iterative dataflow over the
-    reachable subgraph — unreachable blocks are absent from the result."""
-    reachable = reachable_labels(fn)
-    if not reachable:
-        return {}
-    entry = fn.blocks[0].label
-    preds = predecessors(fn)
-    dom: Dict[int, Set[int]] = {entry: {entry}}
-    rest = [b.label for b in fn.blocks if b.label in reachable and b.label != entry]
-    for label in rest:
-        dom[label] = set(reachable)
-    changed = True
-    while changed:
-        changed = False
-        for label in rest:
-            new = set(reachable)
-            had_pred = False
-            for p in preds[label]:
-                if p in dom:
-                    new &= dom[p]
-                    had_pred = True
-            if not had_pred:
-                new = set()
-            new.add(label)
-            if new != dom[label]:
-                dom[label] = new
-                changed = True
-    return dom
-
-
-class Loop:
-    """One natural loop: a header plus every block that can reach a back
-    edge (``tail → header`` where the header dominates the tail) without
-    leaving through the header.  Back edges sharing a header are merged
-    into one loop."""
-
-    __slots__ = ("header", "body", "tails")
-
-    def __init__(self, header: int):
-        self.header = header
-        self.body: Set[int] = {header}
-        self.tails: Set[int] = set()
-
-
-def natural_loops(fn: IRFunction) -> List[Loop]:
-    """Discover natural loops on the reachable CFG, innermost-last by
-    body size (callers that hoist outermost-first should iterate as
-    returned)."""
-    dom = dominators(fn)
-    preds = predecessors(fn)
-    loops: Dict[int, Loop] = {}
-    for block in fn.blocks:
-        if block.label not in dom:
-            continue
-        for succ in successors(block):
-            if succ in dom[block.label]:  # back edge block → succ
-                loop = loops.get(succ)
-                if loop is None:
-                    loop = loops[succ] = Loop(succ)
-                loop.tails.add(block.label)
-                # Walk predecessors from the tail up to the header.
-                stack = [block.label]
-                while stack:
-                    label = stack.pop()
-                    if label in loop.body:
-                        continue
-                    loop.body.add(label)
-                    for p in preds.get(label, ()):
-                        if p in dom:  # reachable preds only
-                            stack.append(p)
-    return sorted(loops.values(), key=lambda lp: len(lp.body), reverse=True)
-
-
 def block_use_def(block: BasicBlock) -> Tuple[Set[int], Set[int]]:
     """(upward-exposed uses, defined slots) for one block."""
     uses: Set[int] = set()

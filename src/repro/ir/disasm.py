@@ -5,7 +5,7 @@ engine dispatches, before call-target linking (so calls print function
 names, not object ids).  Above the code, the dump reports what the
 optimizer did to get there — one line per pass that changed a counter,
 straight from :attr:`IRModule.pass_log` — which is the fastest way to
-answer "why is this load gone?" or "did the tail call become a loop?".
+answer "why is this load gone?" or "was this call inlined?".
 
 ``optimize=False`` dumps the lowering output untouched (the ``--no-opt``
 baseline); diffing the two dumps for one function is the intended

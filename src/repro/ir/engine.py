@@ -48,8 +48,8 @@ from .bytecode import (
     OP_CHECK, OP_CONST,
     OP_DISC, OP_DIV, OP_EQ, OP_GE, OP_GT, OP_ISNONE, OP_ISSOME, OP_JMP,
     OP_LE, OP_LOAD, OP_LOADV, OP_LT, OP_MOD, OP_MOV, OP_MUL, OP_NE, OP_NEG,
-    OP_NEW, OP_NOT, OP_OR, OP_RECV, OP_RET, OP_SEND, OP_SENDC, OP_SLOAD,
-    OP_STORE, OP_STOREV, OP_SUB, OP_TLOAD, OP_TSTORE,
+    OP_NEW, OP_NOT, OP_OR, OP_RECV, OP_RET, OP_SEND, OP_SENDC, OP_STORE,
+    OP_STOREV, OP_SUB,
     compile_program,
 )
 
@@ -84,8 +84,8 @@ class IREngine:
             raise ValueError(f"unknown disconnect implementation {disconnect!r}")
         # Guard erasure happened at lowering: the erased module simply has
         # no check instructions.  A tracer on the heap selects the
-        # observable tier so heap-event traces stay comparable with the
-        # tree interpreter.
+        # observable compilation, which keeps every load, so heap-event
+        # traces stay comparable with the tree interpreter.
         self._module = compile_program(
             program,
             checked=check_reservations,
@@ -439,34 +439,6 @@ class IREngine:
                     )
                     stats.disconnect_checks.append(dstats)
                     frame[ins[1]] = result
-                elif op == OP_TLOAD:
-                    # An optimized-away load: the value lives in a slot,
-                    # but the read event (and the logical read) happens
-                    # here, exactly where the original load sat.
-                    value = frame[ins[4]]
-                    hreads += 1
-                    tracer.record(
-                        "read", frame[ins[2]], fieldname=ins[3], value=value
-                    )
-                    frame[ins[1]] = value
-                elif op == OP_TSTORE:
-                    # A promoted store: dest is the register that carries
-                    # the field; its current value is the event's `old`.
-                    value = frame[ins[4]]
-                    heap.writes += 1
-                    tracer.record(
-                        "write", frame[ins[2]], fieldname=ins[3],
-                        value=value, old=frame[ins[1]],
-                    )
-                    frame[ins[1]] = value
-                elif op == OP_SLOAD:
-                    # Silent preheader read: no trace event, no read count
-                    # (the in-loop tload it feeds does the counting).
-                    base = frame[ins[2]]
-                    o = objects.get(base)
-                    if o is None:
-                        raise HeapError(f"dangling location {base}")
-                    frame[ins[1]] = o.fields[ins[3]]
                 else:
                     raise MachineError(f"unknown opcode {op}")
         finally:

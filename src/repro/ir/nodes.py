@@ -35,16 +35,6 @@ call     (fname, argslots)                   dest := fname(args)
 send     (src,)                              dest := unit; yields to scheduler
 recv     (tyname,)                           dest := received root
 disc     (l, r)                              dest := disconnected(l, r)
-tload    (base, field, src)                  dest := slot src, emitting the
-                                             read trace event the replaced
-                                             ``load`` would have emitted
-tstore   (base, field, src)                  dest := slot src, emitting the
-                                             write trace event; dest is
-                                             read *before* the write (it
-                                             holds the event's old value)
-sload    (base, field)                       dest := heap[base].field with
-                                             NO trace event (hoisted-load
-                                             priming read in a preheader)
 jmp      (label,)                            terminator
 br       (cond, tlabel, flabel)              terminator
 ret      (src,)                              terminator
@@ -53,12 +43,7 @@ ret      (src,)                              terminator
 ``check`` instructions exist only in checked compilations: erased mode
 never emits them (guard erasure happens at lowering time, not dispatch
 time), which is what makes the erased bytecode genuinely check-free.
-
-``tload``/``tstore``/``sload`` exist only in *observable* full-tier
-compilations (erased mode with a tracer attached): they are how the
-optimizer eliminates heap traffic while still emitting every heap event
-at its original position, keeping ``--trace-json`` byte-identical with
-the tree interpreter.  Lowering never creates them; only the passes do.
+The passes add no op of their own: every op above comes from lowering.
 """
 
 from __future__ import annotations
@@ -86,8 +71,7 @@ def instr_uses(ins: Instr) -> Tuple[int, ...]:
     """The slots an instruction reads, in evaluation order."""
     op = ins.op
     args = ins.args
-    if op in ("mov", "isnone", "issome", "check", "asloc", "send", "load",
-              "sload"):
+    if op in ("mov", "isnone", "issome", "check", "asloc", "send", "load"):
         return (args[0],)
     if op == "unop":
         return (args[1],)
@@ -95,12 +79,6 @@ def instr_uses(ins: Instr) -> Tuple[int, ...]:
         return (args[1], args[2])
     if op == "store":
         return (args[0], args[2])
-    if op == "tload":
-        return (args[0], args[2])
-    if op == "tstore":
-        # dest is read before it is written: it carries the replaced
-        # store's old field value into the write trace event.
-        return (args[0], args[2], ins.dest)
     if op == "new":
         return tuple(args[2])
     if op == "call":
@@ -121,10 +99,6 @@ def rewrite_uses(ins: Instr, mapping: Dict[int, int]) -> None:
     get = mapping.get
     if op in ("mov", "isnone", "issome", "check", "asloc", "send"):
         ins.args = (get(args[0], args[0]),)
-    elif op == "sload":
-        ins.args = (get(args[0], args[0]), args[1])
-    elif op in ("tload", "tstore"):
-        ins.args = (get(args[0], args[0]), args[1], get(args[2], args[2]))
     elif op == "unop":
         ins.args = (args[0], get(args[1], args[1]))
     elif op == "binop":

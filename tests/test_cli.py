@@ -136,7 +136,7 @@ class TestOther:
         assert main(["disasm", rb, "contains_opt", "--erased"]) == 0
         out = capsys.readouterr().out
         assert "func contains_opt" in out
-        assert "; pass tailcall: tail_calls_looped+2" in out
+        assert "; pass regalloc: slots_coalesced+" in out
         assert main(["disasm", rb, "contains_opt", "--erased",
                      "--no-opt"]) == 0
         baseline = capsys.readouterr().out
