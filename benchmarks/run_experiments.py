@@ -246,19 +246,6 @@ def e8_semantics_agreement():
     print()
 
 
-def bench_speed_report():
-    """The PR-level speed report (BENCH_PR2.json); a report that fails to
-    generate or validate against bench.schema.json fails like any
-    experiment."""
-    import bench_report
-
-    print("=" * 70)
-    print("BENCH — PR speed report (copy-on-write + erasure)")
-    print("=" * 70)
-    bench_report.generate()
-    print()
-
-
 def fuzz_campaign():
     """A fixed-seed differential-fuzzing campaign; any oracle violation
     fails the experiment, and the report must validate against
@@ -306,7 +293,6 @@ EXPERIMENTS = (
     ("E7", e7_concurrency),
     ("E8", e8_semantics_agreement),
     ("FUZZ", fuzz_campaign),
-    ("BENCH", bench_speed_report),
 )
 
 

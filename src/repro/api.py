@@ -27,8 +27,8 @@ exactly ``check(source).to_dict()``, which is what makes the "server
 responses are byte-identical to in-process results" guarantee checkable.
 
 Exit codes are normalized in :class:`ExitCode` (see docs/API.md):
-0 ok · 1 check-reject · 2 verify-fail · 3 runtime error / bench
-regression · 4 divergence · 5 fuzz violation · 64 usage.
+0 ok · 1 check-reject · 2 verify-fail · 3 runtime error · 4 divergence ·
+5 fuzz violation · 64 usage.
 """
 
 from __future__ import annotations
@@ -39,25 +39,19 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core.checker import DEFAULT_PROFILE, CheckProfile
-from .core.errors import TypeError_
+from .core.errors import NestingTooDeep, TypeError_
 from .lang.tokens import SourceSpan
 
 API_VERSION = "repro-api/1"
 
 
 class ExitCode(enum.IntEnum):
-    """Process exit codes, uniform across every ``repro`` subcommand.
-
-    ``BENCH_REGRESS`` and ``RUNTIME_ERROR`` share 3 deliberately: both
-    mean "the artifact was fine but executing it went wrong", and no
-    subcommand can produce both.
-    """
+    """Process exit codes, uniform across every ``repro`` subcommand."""
 
     OK = 0
     CHECK_REJECT = 1
     VERIFY_FAIL = 2
     RUNTIME_ERROR = 3
-    BENCH_REGRESS = 3  # alias of RUNTIME_ERROR
     DIVERGENCE = 4
     FUZZ_VIOLATION = 5
     USAGE = 64
@@ -337,7 +331,12 @@ def _traced(name: str):
     return decorate
 
 
-def _parse_failure(exc: BaseException, filename: str) -> List[Diagnostic]:
+def _failure(exc: BaseException, filename: str) -> List[Diagnostic]:
+    """The diagnostics for a program error.  A ``RecursionError`` means
+    the program nests deeper than the recursive parser, checker or
+    verifier can follow; it is reported as :class:`NestingTooDeep`."""
+    if isinstance(exc, RecursionError):
+        exc = NestingTooDeep()
     return [Diagnostic.from_exception(exc, file=filename)]
 
 
@@ -357,10 +356,8 @@ def _make_session(
         if program is None:
             program = parse_program(source)
         return ProgramSession(source, program=program, profile=profile), []
-    except (ParseError, LexError) as exc:
-        return None, _parse_failure(exc, filename)
-    except TypeError_ as exc:
-        return None, _parse_failure(exc, filename)
+    except (ParseError, LexError, TypeError_, RecursionError) as exc:
+        return None, _failure(exc, filename)
 
 
 @_traced("api.check")
@@ -383,11 +380,11 @@ def check(
             return CheckResult(ok=False, diagnostics=failed)
     try:
         derivation = session.checker.check_program()
-    except TypeError_ as exc:
+    except (TypeError_, RecursionError) as exc:
         return CheckResult(
             ok=False,
             functions=len(session.program.funcs),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
+            diagnostics=_failure(exc, filename),
         )
     return CheckResult(
         ok=True,
@@ -414,20 +411,20 @@ def verify(
             return VerifyResult(ok=False, diagnostics=failed)
     try:
         derivation = session.checker.check_program()
-    except TypeError_ as exc:
+    except (TypeError_, RecursionError) as exc:
         return VerifyResult(
             ok=False,
             functions=len(session.program.funcs),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
+            diagnostics=_failure(exc, filename),
         )
     try:
         verified = session.verifier.verify_program(derivation)
-    except VerificationError as exc:
+    except (VerificationError, RecursionError) as exc:
         return VerifyResult(
             ok=False,
             functions=len(session.program.funcs),
             nodes=derivation.node_count(),
-            diagnostics=[Diagnostic.from_exception(exc, file=filename)],
+            diagnostics=_failure(exc, filename),
         )
     return VerifyResult(
         ok=True,
@@ -490,11 +487,9 @@ def run(
     if check_first:
         try:
             session.checker.check_program()
-        except TypeError_ as exc:
+        except (TypeError_, RecursionError) as exc:
             return RunResult(
-                ok=False,
-                engine=engine,
-                diagnostics=[Diagnostic.from_exception(exc, file=filename)],
+                ok=False, engine=engine, diagnostics=_failure(exc, filename)
             )
     if function not in session.program.funcs:
         return RunResult(

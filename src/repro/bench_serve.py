@@ -1,424 +1,9 @@
-"""Serve-fleet load harness (``repro bench --serve-load``).
+"""The serve request mix.
 
-Closed-loop load generation against live servers: N client threads, each
-with its own socket connection, each working through a deterministic
-check/verify/run mix of *distinct* programs (distinct sources defeat the
-result memo, so every request is real checking work — the GIL contention
-the fleet exists to escape).  Four phases, one ``serve_load`` document:
-
-* **throughput** — the same mix against a single-process daemon, a
-  one-worker fleet, and an N-worker fleet; per-request p50/p99 latency
-  and saturation throughput.  The acceptance bar: the N-worker fleet
-  strictly out-throughputs the single process on the check-heavy mix.
-* **overload** — a one-worker fleet with a two-slot queue under many
-  concurrent slow requests: every refusal must be a clean ``overloaded``
-  envelope (zero internal errors, zero timeouts, zero hangs).
-* **drain** — shutdown mid-load: everything admitted before the drain
-  completes with a real result.
-* **cache** — a fleet over one shared certificate store: cold misses,
-  then a warm phase (same sources, fresh filenames — busts the
-  per-worker memo, not the content-addressed store) whose hit ratio must
-  clear 90%, then a capped store where eviction provably kicks in.
-
-Latency numbers are wall-clock through the full stack (client framing,
-socket, acceptor admission, worker pipe, check, reply), which is what a
-caller actually experiences.
+``perfbench/inputs.py`` builds its serve-mix request plan from ``MIX``;
+nothing in ``src/`` uses it.  The module stays, holding only ``MIX``,
+until a benchmark change moves the constant into ``perfbench/``.
 """
-
-from __future__ import annotations
-
-import os
-import tempfile
-import threading
-import time
-from typing import Any, Dict, List, Optional, Tuple
-
-from .client import Client, RemoteError
 
 #: Deterministic 20-slot request mix (16 check / 3 verify / 1 run).
 MIX = ("check",) * 16 + ("verify",) * 3 + ("run",)
-
-
-def _mix_source(i: int) -> str:
-    """Distinct-by-index programs: same checking cost, different hash."""
-    return (
-        "struct data { v : int; }\n"
-        f"def get_{i}(d : data) : int {{ d.v + {i} }}\n"
-        f"def add_{i}(a : int, b : int) : int {{ a + b + {i} }}\n"
-    )
-
-
-SPIN = """
-def spin(n : int) : int {
-  let x = 0;
-  while (n > 0) {
-    x = x + 1;
-    n = n - 1
-  };
-  x
-}
-"""
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
-def _unix_config(**kwargs):
-    from .server import ServerConfig
-
-    return ServerConfig(
-        host=None, unix_path=tempfile.mktemp(suffix=".sock"), **kwargs
-    )
-
-
-def _wait_for(predicate, timeout: float = 30.0) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.02)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Closed-loop driver
-# ---------------------------------------------------------------------------
-
-
-def _drive_mix(
-    address, clients: int, requests_each: int
-) -> Dict[str, Any]:
-    """``clients`` threads, each its own connection, each issuing
-    ``requests_each`` mixed requests over distinct sources.  Returns
-    aggregate latency/throughput/error counts.  The wall clock starts at
-    a barrier *after* every client has connected, so connection setup is
-    not billed as request latency."""
-    barrier = threading.Barrier(clients + 1)
-    latencies: List[List[float]] = [[] for _ in range(clients)]
-    errors: List[Dict[str, int]] = [{} for _ in range(clients)]
-
-    def one_client(c: int) -> None:
-        with Client(address, timeout=120) as client:
-            barrier.wait(timeout=60)
-            for r in range(requests_each):
-                index = c * requests_each + r
-                method = MIX[index % len(MIX)]
-                source = _mix_source(index)
-                t0 = time.perf_counter()
-                try:
-                    if method == "check":
-                        client.check(source, filename=f"m{index}.fcl")
-                    elif method == "verify":
-                        client.verify(source, filename=f"m{index}.fcl")
-                    else:
-                        client.run(source, f"add_{index}", [1, 2])
-                except RemoteError as exc:
-                    errors[c][exc.code] = errors[c].get(exc.code, 0) + 1
-                latencies[c].append((time.perf_counter() - t0) * 1000.0)
-
-    threads = [
-        threading.Thread(target=one_client, args=(c,), daemon=True)
-        for c in range(clients)
-    ]
-    for t in threads:
-        t.start()
-    barrier.wait(timeout=120)
-    t0 = time.perf_counter()
-    for t in threads:
-        t.join(timeout=600)
-    wall_s = time.perf_counter() - t0
-    hung = sum(1 for t in threads if t.is_alive())
-    flat = [sample for per_client in latencies for sample in per_client]
-    merged_errors: Dict[str, int] = {}
-    for per_client in errors:
-        for code, count in per_client.items():
-            merged_errors[code] = merged_errors.get(code, 0) + count
-    total = clients * requests_each
-    return {
-        "clients": clients,
-        "requests": total,
-        "wall_ms": round(wall_s * 1000.0, 1),
-        "throughput_rps": round(total / wall_s, 1) if wall_s else 0.0,
-        "p50_ms": round(_percentile(flat, 0.50), 2),
-        "p99_ms": round(_percentile(flat, 0.99), 2),
-        "max_ms": round(max(flat), 2) if flat else 0.0,
-        "errors": merged_errors,
-        "hung_clients": hung,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Phases
-# ---------------------------------------------------------------------------
-
-
-def _phase_throughput(
-    clients: int, requests_each: int, fleet_workers: int
-) -> List[Dict[str, Any]]:
-    from .server import ServerThread
-    from .server.fleet import FleetConfig, FleetThread
-
-    targets: List[Tuple[str, Any]] = [
-        ("single-process", lambda: ServerThread(_unix_config(max_queue=512))),
-        (
-            "fleet-1",
-            lambda: FleetThread(
-                config=_unix_config(max_queue=512),
-                fleet_config=FleetConfig(workers=1),
-            ),
-        ),
-        (
-            f"fleet-{fleet_workers}",
-            lambda: FleetThread(
-                config=_unix_config(max_queue=512),
-                fleet_config=FleetConfig(workers=fleet_workers),
-            ),
-        ),
-    ]
-    rows = []
-    for label, make in targets:
-        with make() as handle:
-            row = _drive_mix(handle.address, clients, requests_each)
-        row["target"] = label
-        row["workers"] = (
-            fleet_workers
-            if label == f"fleet-{fleet_workers}"
-            else (1 if label == "fleet-1" else 0)
-        )
-        rows.append(row)
-    return rows
-
-
-def _phase_overload(clients: int) -> Dict[str, Any]:
-    """Slow spins against one worker and a two-slot queue: refusals must
-    be ``overloaded`` and nothing else; nobody hangs or crashes."""
-    from .server.fleet import FleetConfig, FleetThread
-
-    requests_each = 3
-    counts = {"ok": 0, "overloaded": 0, "other": 0}
-    lock = threading.Lock()
-
-    def one_client(c: int) -> None:
-        with Client(handle.address, timeout=120) as client:
-            for _ in range(requests_each):
-                try:
-                    result = client.run(SPIN, "spin", [30_000])
-                    with lock:
-                        counts["ok"] += 1 if result.ok else 0
-                except RemoteError as exc:
-                    with lock:
-                        key = (
-                            "overloaded"
-                            if exc.code == "overloaded"
-                            else "other"
-                        )
-                        counts[key] += 1
-
-    with FleetThread(
-        config=_unix_config(max_queue=2),
-        fleet_config=FleetConfig(workers=1),
-    ) as handle:
-        threads = [
-            threading.Thread(target=one_client, args=(c,), daemon=True)
-            for c in range(clients)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=600)
-        hung = sum(1 for t in threads if t.is_alive())
-        with Client(handle.address) as probe:
-            stats = probe.stats()
-            crashes = stats["requests"].get("server.worker.crashes", 0)
-            restarts = stats["fleet"]["restarts"]
-    return {
-        "clients": clients,
-        "sent": clients * requests_each,
-        "ok": counts["ok"],
-        "overloaded": counts["overloaded"],
-        "other_errors": counts["other"],
-        "hung_clients": hung,
-        "worker_crashes": crashes,
-        "worker_restarts": restarts,
-    }
-
-
-def _phase_drain(inflight: int = 4) -> Dict[str, Any]:
-    """Drain with slow requests in flight: all of them must complete."""
-    from .server.fleet import FleetConfig, FleetThread
-
-    results = {"completed": 0, "failed": 0}
-    lock = threading.Lock()
-
-    def slow(address) -> None:
-        try:
-            result = Client(address, timeout=120).run(SPIN, "spin", [100_000])
-            with lock:
-                results["completed" if result.ok else "failed"] += 1
-        except Exception:  # noqa: BLE001 — a drop IS the failure signal
-            with lock:
-                results["failed"] += 1
-
-    handle = FleetThread(
-        config=_unix_config(max_queue=512),
-        fleet_config=FleetConfig(workers=2),
-    ).start()
-    address = handle.address
-    threads = [
-        threading.Thread(target=slow, args=(address,), daemon=True)
-        for _ in range(inflight)
-    ]
-    for t in threads:
-        t.start()
-    with Client(address) as control:
-        _wait_for(lambda: control.stats()["inflight"] >= 1)
-        observed = control.stats()["inflight"]
-        control.shutdown()
-    for t in threads:
-        t.join(timeout=300)
-    handle.stop()
-    return {
-        "submitted": inflight,
-        "inflight_at_shutdown": observed,
-        "completed": results["completed"],
-        "failed": results["failed"],
-    }
-
-
-def _phase_cache(sources: int, warm_passes: int) -> Dict[str, Any]:
-    """Shared-store behavior: cold fill, warm hit ratio, forced eviction."""
-    from .server.fleet import FleetConfig, FleetThread
-
-    def counters(client) -> Dict[str, float]:
-        return client.metrics().get("counters", {})
-
-    with tempfile.TemporaryDirectory() as cache_dir:
-        with FleetThread(
-            config=_unix_config(max_queue=512),
-            fleet_config=FleetConfig(workers=2, cache_dir=cache_dir),
-        ) as handle:
-            with Client(handle.address, timeout=120) as client:
-                for i in range(sources):
-                    assert client.verify(
-                        _mix_source(i), filename=f"cold-{i}.fcl"
-                    ).ok
-                before = counters(client)
-                for p in range(warm_passes):
-                    for i in range(sources):
-                        # Fresh filename: busts the per-worker result
-                        # memo (keyed on filename); the content-addressed
-                        # store must answer instead.
-                        assert client.verify(
-                            _mix_source(i), filename=f"warm-{p}-{i}.fcl"
-                        ).ok
-                after = counters(client)
-        hits = after.get("cache.hits", 0) - before.get("cache.hits", 0)
-        misses = after.get("cache.misses", 0) - before.get("cache.misses", 0)
-        looked_up = hits + misses
-        warm = {
-            "requests": sources * warm_passes,
-            "hits": int(hits),
-            "misses": int(misses),
-            "hit_ratio": round(hits / looked_up, 4) if looked_up else 0.0,
-        }
-
-    # Eviction leg: a store capped far below the working set.
-    cap = max(4, sources // 3)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        with FleetThread(
-            config=_unix_config(max_queue=512),
-            fleet_config=FleetConfig(
-                workers=2, cache_dir=cache_dir, cache_entries=cap
-            ),
-        ) as handle:
-            with Client(handle.address, timeout=120) as client:
-                for i in range(sources):
-                    assert client.verify(
-                        _mix_source(1000 + i), filename=f"ev-{i}.fcl"
-                    ).ok
-                doc = client.metrics()
-                evictions = doc.get("counters", {}).get("cache.evictions", 0)
-                entries_gauge = doc.get("gauges", {}).get("cache.entries", 0)
-    return {
-        "cold_sources": sources,
-        "warm": warm,
-        "eviction": {
-            "store_cap_entries": cap,
-            "sources": sources,
-            "evictions": int(evictions),
-            "entries_gauge": int(entries_gauge),
-        },
-    }
-
-
-# ---------------------------------------------------------------------------
-# Entry point
-# ---------------------------------------------------------------------------
-
-
-def bench_serve_load(
-    small: bool = False, fleet_workers: Optional[int] = None
-) -> Dict[str, Any]:
-    """The ``serve_load`` section of a ``repro-bench/1`` document."""
-    if fleet_workers is None:
-        fleet_workers = max(2, min(4, (os.cpu_count() or 2)))
-    if small:
-        clients, requests_each = 16, 2
-        overload_clients = 6
-        cache_sources, warm_passes = 8, 2
-    else:
-        clients, requests_each = 200, 4
-        overload_clients = 12
-        cache_sources, warm_passes = 16, 3
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "mix": {"check": 16, "verify": 3, "run": 1},
-        "throughput": _phase_throughput(clients, requests_each, fleet_workers),
-        "overload": _phase_overload(overload_clients),
-        "drain": _phase_drain(),
-        "cache": _phase_cache(cache_sources, warm_passes),
-    }
-
-
-def render_serve_load(section: Dict[str, Any]) -> str:
-    lines = []
-    lines.append(
-        f"serve-load — closed loop, mix check:verify:run = "
-        f"{section['mix']['check']}:{section['mix']['verify']}:"
-        f"{section['mix']['run']}, {section['cpu_count']} CPUs"
-    )
-    lines.append(
-        f"{'target':>16s} {'clients':>8s} {'reqs':>6s} {'wall(ms)':>9s} "
-        f"{'rps':>8s} {'p50(ms)':>8s} {'p99(ms)':>8s} {'errors':>7s}"
-    )
-    for row in section["throughput"]:
-        lines.append(
-            f"{row['target']:>16s} {row['clients']:8d} {row['requests']:6d} "
-            f"{row['wall_ms']:9.1f} {row['throughput_rps']:8.1f} "
-            f"{row['p50_ms']:8.2f} {row['p99_ms']:8.2f} "
-            f"{sum(row['errors'].values()):7d}"
-        )
-    over = section["overload"]
-    lines.append(
-        f"overload: {over['sent']} sent -> {over['ok']} ok, "
-        f"{over['overloaded']} overloaded, {over['other_errors']} other; "
-        f"{over['hung_clients']} hung, {over['worker_crashes']} crashes"
-    )
-    drain = section["drain"]
-    lines.append(
-        f"drain: {drain['submitted']} in flight -> "
-        f"{drain['completed']} completed, {drain['failed']} dropped"
-    )
-    cache = section["cache"]
-    lines.append(
-        f"shared store: warm hit ratio {cache['warm']['hit_ratio']:.1%} "
-        f"({cache['warm']['hits']} hits / {cache['warm']['misses']} misses); "
-        f"eviction leg: {cache['eviction']['evictions']} evictions at cap "
-        f"{cache['eviction']['store_cap_entries']}"
-    )
-    return "\n".join(lines)

@@ -12,8 +12,6 @@ Commands:
 * ``corpus``                — list, check, and verify the bundled corpus.
 * ``batch PATH...``         — check + verify every program under the given
   files/directories through the incremental pipeline.
-* ``bench``                 — wall-clock benchmarks (``--json`` emits the
-  ``repro-bench/1`` document; see docs/PERFORMANCE.md).
 * ``fuzz``                  — differential soundness fuzzing: generate
   random programs and cross-check checker/verifier/runtime/erasure
   (``--json`` emits the ``repro-fuzz/1`` report; see docs/FUZZING.md).
@@ -33,7 +31,7 @@ Commands:
   daemon: request rates, per-method p50/p99, memo hit ratio, queue depth.
 
 Exit codes follow :class:`repro.api.ExitCode`: 0 success, 1 check
-rejection, 2 verification failure, 3 runtime error/bench regression,
+rejection, 2 verification failure, 3 runtime error,
 4 paranoid divergence, 5 fuzz violation, 64 usage error.
 
 ``check``/``run``/``verify``/``stats`` all accept ``--metrics-json FILE``
@@ -61,7 +59,7 @@ from typing import List, Optional
 from . import api
 from .api import Diagnostic, ExitCode
 from .core.checker import Checker
-from .core.errors import TypeError_
+from .core.errors import NestingTooDeep, TypeError_
 from .lang import ParseError, parse_program
 from .lang.lexer import LexError
 from .runtime.heap import Heap
@@ -141,7 +139,9 @@ def _load(path: str):
         return parse_program(source)
     except (ParseError, LexError) as exc:
         _fail(Diagnostic.from_exception(exc, file=path), source)
-        raise SystemExit(int(ExitCode.CHECK_REJECT))
+    except RecursionError:
+        _fail(Diagnostic.from_exception(NestingTooDeep(), file=path), source)
+    raise SystemExit(int(ExitCode.CHECK_REJECT))
 
 
 def _report_type_error(path: str, exc: TypeError_) -> None:
@@ -625,79 +625,6 @@ def cmd_regions(args: argparse.Namespace) -> int:
     for owner_region, owner, fieldname, target in graph.edges:
         print(f"  region {owner_region} --{owner}.{fieldname}--> region {target}")
     print(f"region graph is a tree: {graph.is_tree()}")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Run the wall-clock benchmarks (plain ``time.perf_counter`` loops,
-    no pytest-benchmark) and print the table; ``--json`` writes the
-    ``repro-bench/1`` document (see benchmarks/bench.schema.json).
-
-    ``--compare OLD.json`` diffs against a stored report instead of just
-    printing: a fresh run is measured (or ``--against NEW.json`` is read —
-    a pure file diff, nothing is benchmarked), per-metric deltas are
-    printed, and wall-clock regressions beyond ``--threshold`` percent
-    exit 3."""
-    import json
-
-    from . import bench
-
-    if args.against and not args.compare:
-        print("error: --against requires --compare OLD.json", file=sys.stderr)
-        return int(ExitCode.USAGE)
-    if args.serve_load:
-        from . import bench_serve
-
-        doc = {
-            "schema": bench.SCHEMA,
-            "label": "PR10",
-            "serve_load": bench_serve.bench_serve_load(small=args.small),
-        }
-        print(bench_serve.render_serve_load(doc["serve_load"]))
-        if args.json:
-            try:
-                Path(args.json).write_text(json.dumps(doc, indent=1) + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-                return 1
-            print(f"wrote bench report to {args.json}", file=sys.stderr)
-        return 0
-    if args.compare:
-        try:
-            old = json.loads(Path(args.compare).read_text())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load {args.compare}: {exc}", file=sys.stderr)
-            return int(ExitCode.USAGE)
-        if args.against:
-            try:
-                new = json.loads(Path(args.against).read_text())
-            except (OSError, ValueError) as exc:
-                print(
-                    f"error: cannot load {args.against}: {exc}", file=sys.stderr
-                )
-                return int(ExitCode.USAGE)
-        else:
-            new = bench.collect(small=args.small)
-            if args.json:
-                Path(args.json).write_text(json.dumps(new, indent=1) + "\n")
-                print(f"wrote bench report to {args.json}", file=sys.stderr)
-        try:
-            cmp = bench.compare_docs(old, new, threshold=args.threshold)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return int(ExitCode.USAGE)
-        print(bench.render_compare(cmp))
-        return int(ExitCode.BENCH_REGRESS if cmp["regressions"] else ExitCode.OK)
-
-    doc = bench.collect(small=args.small)
-    print(bench.render_table(doc))
-    if args.json:
-        try:
-            Path(args.json).write_text(json.dumps(doc, indent=1) + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote bench report to {args.json}", file=sys.stderr)
     return 0
 
 
@@ -1409,51 +1336,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("args", nargs="*")
     p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
     p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser(
-        "bench", help="wall-clock benchmarks (checker, unify, erasure)"
-    )
-    p.add_argument(
-        "--json",
-        metavar="FILE",
-        default=None,
-        help="also write the repro-bench/1 JSON document to FILE",
-    )
-    p.add_argument(
-        "--small",
-        action="store_true",
-        help="smaller corpus/chains/widths (CI smoke mode)",
-    )
-    p.add_argument(
-        "--serve-load",
-        action="store_true",
-        dest="serve_load",
-        help="run the serve-fleet load harness instead (concurrent "
-        "clients vs single-process / fleet; overload, drain, shared "
-        "cache phases)",
-    )
-    p.add_argument(
-        "--compare",
-        metavar="OLD.json",
-        default=None,
-        help="diff a stored repro-bench/1 report against a fresh run "
-        "(or --against NEW.json); exits 3 on wall-clock regression",
-    )
-    p.add_argument(
-        "--against",
-        metavar="NEW.json",
-        default=None,
-        help="with --compare: diff OLD against this stored report "
-        "instead of benchmarking",
-    )
-    p.add_argument(
-        "--threshold",
-        type=float,
-        default=50.0,
-        metavar="PCT",
-        help="regression tolerance on *_ms metrics, percent (default 50)",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "fuzz", help="differential soundness fuzzing (docs/FUZZING.md)"

@@ -1,7 +1,8 @@
 """A small blocking client for the ``repro-rpc/1`` protocol.
 
-Used by ``repro client``, the server tests, and ``repro bench``'s server
-section.  One socket, JSON lines, strictly request/response::
+Used by ``repro client``, ``repro top``, the server tests and
+perfbench's serve-mix workload.  One socket, JSON lines, strictly
+request/response::
 
     from repro.client import Client
 

@@ -1,159 +1,183 @@
-"""Cached per-function control- and data-flow analysis (§5.1 support).
+"""Per-function liveness, cached per program (the §5.1 unification oracle).
 
-The checker's liveness oracle and branch unification repeatedly need the
-same facts about a function body: which variables an expression reads
-(``uses``), which are live after each node, and where definitions reach.
-Before this module they were re-derived node by node — ``uses`` walked the
-subtree on every call, and a fresh :class:`~repro.core.liveness.Liveness`
-was built per function check even when a warm session re-checks the same
-program.
+Branch unification is "the problem of inferring which linear resources must
+be preserved to type-check a given program suffix" (§5.1).  :class:`Liveness`
+computes, for every expression node, the set of variables live *after* it;
+the checker uses these sets to prune tracking contexts down to what the
+continuation actually needs before unifying branches, loop bodies, and
+function exits.  At loops and iso-field accesses it also asks which
+variables an expression reads (:func:`uses`).
 
-:class:`ProgramAnalysis` owns one lazily built, immutable
-:class:`FunctionAnalysis` per function plus the function-call graph.  All
-facts are computed once and frozen, so a warm
-:class:`~repro.pipeline.session.ProgramSession` can hand the same analysis
-to concurrent checker threads: construction is serialised under a small
-lock, reads after publication are lock-free.
+:class:`ProgramAnalysis` owns one lazily built :class:`FunctionAnalysis` per
+function: the liveness table plus a memo of ``uses``.  A warm
+:class:`~repro.pipeline.session.ProgramSession` hands the same analysis to
+concurrent checker threads: construction is serialised under a small lock,
+reads after publication are lock-free.
 
 The analysis is *descriptive only*: nothing here changes which programs are
 accepted or what derivations look like — it only avoids recomputing facts
 the checker already relied on (CHECKER_VERSION is unaffected).
 
-Facts provided:
-
-* ``uses(expr)`` — memoized read-set of an expression (same contract as
-  :func:`repro.core.liveness.uses`).
-* ``liveness`` — the function's backward liveness table, shared across
-  repeated checks of the same session.
-* ``cfg`` — a light control-flow graph over the expression tree: one node
-  per control point with successor edges (sequence, branch, loop
-  back-edge).
-* ``reaching_defs(node)`` — the ``(variable, def-site)`` pairs that may
-  reach a control point, from a forward fixpoint over the CFG.
-* ``call_graph()`` / ``callees(name)`` / ``callers(name)`` — the static
-  function-call graph of the program.
+Node identity is ``id(node)`` — AST nodes are unique objects per parse.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set
 
 from ..lang import ast
 from ..telemetry import registry as _telemetry
-from .liveness import Liveness, uses as _uses
 
 
-class CFGNode:
-    """A control point: an AST node plus its successor control points."""
+def uses(expr: ast.Expr) -> Set[str]:
+    """All variable names read anywhere inside ``expr``.
 
-    __slots__ = ("index", "node", "succs")
-
-    def __init__(self, index: int, node: ast.Expr):
-        self.index = index
-        self.node = node
-        self.succs: List[int] = []
+    Over-approximate: a name bound inside ``expr`` may shadow an outer use;
+    keeping it live is sound (liveness is used only to *preserve*
+    resources)."""
+    return {node.name for node in ast.walk(expr) if isinstance(node, ast.VarRef)}
 
 
-class CFG:
-    """Control-flow graph over a function body.
+class Liveness:
+    """Backward liveness over a function body.
 
-    Nodes are the *statement-level* expressions in evaluation order; edges
-    follow sequencing, both branch arms, and the loop back-edge of
-    ``while``.  Entry is node 0 (the body), exits are nodes with no
-    successor.
+    ``live_after(node)`` is the set of variables whose values the program
+    may still read after ``node`` finishes evaluating (within the function).
     """
 
     def __init__(self, fdef: ast.FuncDef):
-        self.nodes: List[CFGNode] = []
-        self._index_of: Dict[int, int] = {}
-        last = self._build(fdef.body)
-        self.exits: Tuple[int, ...] = tuple(last)
+        self._after: Dict[int, FrozenSet[str]] = {}
+        # Non-consumed parameters must survive to the function's output
+        # context (§4.9 defaults), so they are live throughout the body.
+        # Consumed parameters get true liveness so branches may consume them.
+        exit_live = frozenset(
+            p.name for p in fdef.params if p.name not in fdef.consumes
+        )
+        self._analyze(fdef.body, exit_live)
 
-    def node_index(self, node: ast.Expr) -> Optional[int]:
-        return self._index_of.get(id(node))
+    def live_after(self, node: ast.Expr) -> FrozenSet[str]:
+        """Variables live after ``node``; empty if the node was never seen
+        (synthesized nodes default to nothing-live, which is conservative
+        for pruning since the checker additionally protects its own state)."""
+        return self._after.get(id(node), frozenset())
 
-    def _add(self, node: ast.Expr) -> int:
-        index = len(self.nodes)
-        self.nodes.append(CFGNode(index, node))
-        self._index_of[id(node)] = index
-        return index
+    # -- backward transfer functions ----------------------------------------
 
-    def _link(self, sources: List[int], target: int) -> None:
-        for source in sources:
-            succs = self.nodes[source].succs
-            if target not in succs:
-                succs.append(target)
-
-    def _build(self, node: ast.Expr) -> List[int]:
-        """Add ``node``'s control points; return the open exit nodes."""
-        index = self._add(node)
+    def _analyze(self, node: ast.Expr, live_out: FrozenSet[str]) -> FrozenSet[str]:
+        """Record live_out for ``node`` and return its live_in."""
+        self._after[id(node)] = live_out
 
         if isinstance(node, ast.Block):
-            open_ends = [index]
-            for entry in node.body:
-                entry_index = len(self.nodes)
-                ends = self._build(entry)
-                self._link(open_ends, entry_index)
-                open_ends = ends
-            return open_ends
-
-        if isinstance(node, (ast.If, ast.IfDisconnected, ast.LetSome)):
-            then_index = len(self.nodes)
-            then_ends = self._build(node.then_block)
-            self._link([index], then_index)
-            if node.else_block is not None:
-                else_index = len(self.nodes)
-                else_ends = self._build(node.else_block)
-                self._link([index], else_index)
-                return then_ends + else_ends
-            return then_ends + [index]
-
-        if isinstance(node, ast.While):
-            body_index = len(self.nodes)
-            body_ends = self._build(node.body)
-            self._link([index], body_index)
-            self._link(body_ends, index)  # back-edge
-            return [index]
+            live = live_out
+            # Statements run in order; process backward.
+            for entry in reversed(node.body):
+                live = self._analyze(entry, live)
+            return live
 
         if isinstance(node, ast.LetBind):
-            init_index = len(self.nodes)
-            init_ends = self._build(node.init)
-            self._link([index], init_index)
-            return init_ends
+            body_live = live_out - {node.name}
+            return self._analyze(node.init, body_live)
 
-        # Straight-line expressions are a single control point.
-        return [index]
+        if isinstance(node, ast.LetSome):
+            then_in = self._analyze(node.then_block, live_out) - {node.name}
+            else_in = (
+                self._analyze(node.else_block, live_out)
+                if node.else_block is not None
+                else live_out
+            )
+            return self._analyze(node.scrutinee, then_in | else_in)
 
+        if isinstance(node, ast.If):
+            then_in = self._analyze(node.then_block, live_out)
+            else_in = (
+                self._analyze(node.else_block, live_out)
+                if node.else_block is not None
+                else live_out
+            )
+            return self._analyze(node.cond, then_in | else_in)
 
-def _definitions(node: ast.Expr) -> FrozenSet[str]:
-    """Variable names (re)defined directly at ``node``."""
-    if isinstance(node, (ast.LetBind, ast.LetSome)):
-        return frozenset({node.name})
-    if isinstance(node, ast.Assign) and isinstance(node.target, ast.VarRef):
-        return frozenset({node.target.name})
-    return frozenset()
+        if isinstance(node, ast.IfDisconnected):
+            then_in = self._analyze(node.then_block, live_out)
+            else_in = (
+                self._analyze(node.else_block, live_out)
+                if node.else_block is not None
+                else live_out
+            )
+            branch_in = then_in | else_in
+            right_in = self._analyze(node.right, branch_in)
+            return self._analyze(node.left, right_in)
+
+        if isinstance(node, ast.While):
+            # Fixpoint: body may run zero or more times.
+            live = live_out
+            for _ in range(3):
+                body_in = self._analyze(node.body, self._analyze(node.cond, live) | live_out)
+                new_live = live | body_in | uses(node.cond)
+                if new_live == live:
+                    break
+                live = new_live
+            cond_in = self._analyze(node.cond, live | live_out)
+            self._after[id(node)] = live_out
+            return cond_in
+
+        if isinstance(node, ast.Assign):
+            if isinstance(node.target, ast.VarRef):
+                value_out = (live_out - {node.target.name}) | set()
+                value_in = self._analyze(node.value, frozenset(value_out))
+                self._after[id(node.target)] = live_out
+                return value_in
+            # Field assignment: base is read.
+            value_in = self._analyze(node.value, live_out)
+            return self._analyze(node.target, value_in)
+
+        if isinstance(node, ast.FieldRef):
+            return self._analyze(node.base, live_out)
+
+        if isinstance(node, ast.VarRef):
+            return live_out | {node.name}
+
+        if isinstance(node, (ast.SomeExpr, ast.IsNone, ast.IsSome, ast.Unop)):
+            return self._analyze(node.inner, live_out)
+
+        if isinstance(node, ast.Send):
+            return self._analyze(node.value, live_out)
+
+        if isinstance(node, ast.Binop):
+            right_in = self._analyze(node.right, live_out)
+            return self._analyze(node.left, right_in)
+
+        if isinstance(node, ast.Call):
+            live = live_out
+            for arg in reversed(node.args):
+                live = self._analyze(arg, live)
+            return live
+
+        if isinstance(node, ast.New):
+            live = live_out
+            for init in reversed(list(node.inits.values())):
+                live = self._analyze(init, live)
+            return live
+
+        # Leaves: IntLit, BoolLit, UnitLit, NoneLit, Recv.
+        return live_out
 
 
 class FunctionAnalysis:
-    """All cached facts for one function.  Immutable after construction
-    except the internal ``uses`` memo, which is append-only and keyed by
-    node identity (idempotent values, so concurrent fills are benign)."""
+    """Cached facts for one function: its liveness table and a memo of
+    :func:`uses`.  The memo is append-only and keyed by node identity
+    (idempotent values, so concurrent fills are benign)."""
 
     def __init__(self, fdef: ast.FuncDef):
         self.fdef = fdef
         self.liveness = Liveness(fdef)
-        self.cfg = CFG(fdef)
         self._uses: Dict[int, FrozenSet[str]] = {}
-        self._reaching: Optional[Dict[int, FrozenSet[Tuple[str, int]]]] = None
-        self._reaching_lock = threading.Lock()
         tel = _telemetry()
         if tel.enabled:
             tel.inc("analysis.functions")
-            tel.inc("analysis.cfg.nodes", len(self.cfg.nodes))
 
     def uses(self, expr: ast.Expr) -> FrozenSet[str]:
-        """Memoized :func:`repro.core.liveness.uses`."""
+        """Memoized :func:`uses`."""
         cached = self._uses.get(id(expr))
         tel = _telemetry()
         if cached is not None:
@@ -162,75 +186,20 @@ class FunctionAnalysis:
             return cached
         if tel.enabled:
             tel.inc("analysis.uses.misses")
-        result = frozenset(_uses(expr))
+        result = frozenset(uses(expr))
         self._uses[id(expr)] = result
         return result
-
-    def live_after(self, node: ast.Expr) -> FrozenSet[str]:
-        return self.liveness.live_after(node)
-
-    def reaching_defs(self, node: ast.Expr) -> FrozenSet[Tuple[str, int]]:
-        """The ``(variable, defining CFG node index)`` pairs that may reach
-        ``node``.  Parameters reach as ``(name, -1)``.  Empty for nodes that
-        are not control points."""
-        table = self._reaching
-        if table is None:
-            with self._reaching_lock:
-                table = self._reaching
-                if table is None:
-                    table = self._compute_reaching()
-                    self._reaching = table
-        index = self.cfg.node_index(node)
-        if index is None:
-            return frozenset()
-        return table[index]
-
-    def _compute_reaching(self) -> Dict[int, FrozenSet[Tuple[str, int]]]:
-        tel = _telemetry()
-        if tel.enabled:
-            tel.inc("analysis.reaching.computed")
-        nodes = self.cfg.nodes
-        entry_facts = frozenset(
-            (p.name, -1) for p in self.fdef.params
-        )
-        ins: List[Set[Tuple[str, int]]] = [set() for _ in nodes]
-        if nodes:
-            ins[0] |= entry_facts
-        preds: List[List[int]] = [[] for _ in nodes]
-        for cfg_node in nodes:
-            for succ in cfg_node.succs:
-                preds[succ].append(cfg_node.index)
-
-        def flow(index: int) -> Set[Tuple[str, int]]:
-            defs = _definitions(nodes[index].node)
-            out = {fact for fact in ins[index] if fact[0] not in defs}
-            out |= {(name, index) for name in defs}
-            return out
-
-        changed = True
-        while changed:
-            changed = False
-            for cfg_node in nodes:
-                index = cfg_node.index
-                new_in: Set[Tuple[str, int]] = set(entry_facts) if index == 0 else set()
-                for pred in preds[index]:
-                    new_in |= flow(pred)
-                if new_in - ins[index]:
-                    ins[index] |= new_in
-                    changed = True
-        return {index: frozenset(ins[index]) for index in range(len(nodes))}
 
 
 class ProgramAnalysis:
     """Per-program analysis cache: one :class:`FunctionAnalysis` per
-    function plus the function-call graph.  Thread-safe: construction of
-    each entry is serialised, published entries are immutable."""
+    function.  Thread-safe: construction of each entry is serialised,
+    published entries are immutable."""
 
     def __init__(self, program: ast.Program):
         self._program = program
         self._lock = threading.Lock()
         self._funcs: Dict[str, FunctionAnalysis] = {}
-        self._call_graph: Optional[Dict[str, FrozenSet[str]]] = None
 
     def function(self, name: str) -> FunctionAnalysis:
         analysis = self._funcs.get(name)
@@ -252,36 +221,3 @@ class ProgramAnalysis:
         if self._program.funcs.get(fdef.name) is fdef:
             return self.function(fdef.name)
         return FunctionAnalysis(fdef)
-
-    def call_graph(self) -> Dict[str, FrozenSet[str]]:
-        """``caller -> callees`` over every function of the program."""
-        graph = self._call_graph
-        if graph is not None:
-            return graph
-        with self._lock:
-            graph = self._call_graph
-            if graph is None:
-                graph = {}
-                for name, fdef in self._program.funcs.items():
-                    callees = {
-                        node.func
-                        for node in ast.walk(fdef.body)
-                        if isinstance(node, ast.Call)
-                        and node.func in self._program.funcs
-                    }
-                    graph[name] = frozenset(callees)
-                self._call_graph = graph
-                tel = _telemetry()
-                if tel.enabled:
-                    tel.inc("analysis.callgraph.built")
-        return graph
-
-    def callees(self, name: str) -> FrozenSet[str]:
-        return self.call_graph().get(name, frozenset())
-
-    def callers(self, name: str) -> FrozenSet[str]:
-        return frozenset(
-            caller
-            for caller, callees in self.call_graph().items()
-            if name in callees
-        )

@@ -86,3 +86,13 @@ class InferenceError(TypeError_):
 class DominationError(TypeError_):
     """An operation would break tempered domination (e.g. making an iso
     field a non-dominating untracked reference)."""
+
+
+class NestingTooDeep(TypeError_):
+    """The program nests deeper than the recursive parser, checker or
+    verifier can follow.  The public entry points report this in place of
+    Python's ``RecursionError``, so deep input gets a diagnostic, not a
+    traceback."""
+
+    def __init__(self) -> None:
+        super().__init__("program nests too deeply to parse, check or verify")

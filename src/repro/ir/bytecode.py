@@ -8,8 +8,8 @@ specialized into per-operator opcodes here, which keeps the dispatch loop
 an integer-compare ladder with trivial bodies.
 
 Compiled modules are cached per ``(checked, observable)`` on the Program
-object itself: the fuzzer and the bench harness compile each program at
-most four times no matter how many runs they do.
+object itself: the fuzzer compiles each program at most four times no
+matter how many runs it does.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 from .. import telemetry as tel
 from ..core.checker import CheckProfile, DEFAULT_PROFILE
 from ..core.derivation import FuncDerivation
-from ..core.errors import TypeError_
+from ..core.errors import NestingTooDeep, TypeError_
 from ..core.serialize import func_derivation_from_json, func_derivation_to_json
 from ..lang import ast
 from ..verifier import VerificationError
@@ -175,12 +175,23 @@ class Pipeline:
     ) -> ProgramResult:
         """Check (and verify) every function of one program."""
         tr = tel.tracer()
-        if not tr.enabled:
-            return self._run(label, source, program)
-        # Under the ambient span when there is one (the daemon's request
-        # span, the facade's api.* span), a new root otherwise.
-        with tr.span("pipeline.program", cat="pipeline", args={"label": label}):
-            return self._run(label, source, program)
+        try:
+            if not tr.enabled:
+                return self._run(label, source, program)
+            # Under the ambient span when there is one (the daemon's
+            # request span, the facade's api.* span), a new root otherwise.
+            with tr.span(
+                "pipeline.program", cat="pipeline", args={"label": label}
+            ):
+                return self._run(label, source, program)
+        except RecursionError:
+            # Parsing, checking or verifying nested deeper than Python's
+            # recursion limit: a rejection, like any other program error.
+            return ProgramResult(
+                label,
+                ok=False,
+                error=ErrorInfo.from_exception("check", NestingTooDeep()),
+            )
 
     def _run(
         self,

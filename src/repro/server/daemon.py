@@ -446,8 +446,8 @@ class Server:
 
 
 class ServerThread:
-    """A :class:`Server` on a background thread — the harness tests and
-    ``repro bench`` use this to measure warm-path latency in-process.
+    """A :class:`Server` on a background thread, so tests can drive a
+    live daemon in-process.
 
     ::
 

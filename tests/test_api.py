@@ -1,6 +1,10 @@
 """Tests for the stable programmatic facade (`repro.api`)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,13 +178,107 @@ class TestExitCode:
         assert ExitCode.CHECK_REJECT == 1
         assert ExitCode.VERIFY_FAIL == 2
         assert ExitCode.RUNTIME_ERROR == 3
-        assert ExitCode.BENCH_REGRESS == 3
         assert ExitCode.DIVERGENCE == 4
         assert ExitCode.FUZZ_VIOLATION == 5
         assert ExitCode.USAGE == 64
 
 
+def _nested_parens(depth):
+    return "def f(x : int) : int { " + "(" * depth + "x" + " + 1)" * depth + " }"
+
+
+def _nested_ifs(depth):
+    body = "x"
+    for i in range(depth):
+        body = f"if (x > {i}) {{ {body} }} else {{ {i} }}"
+    return "def f(x : int) : int { " + body + " }"
+
+
+class TestDeepNesting:
+    """Nesting deeper than the recursive parser, checker or verifier can
+    follow is one ``NestingTooDeep`` diagnostic at every entry point,
+    never a ``RecursionError``."""
+
+    ENTRY_POINTS = {
+        "check": lambda src: api.check(src),
+        "verify": lambda src: api.verify(src),
+        "run": lambda src: api.run(src, "f", [1]),
+        "Session": lambda src: api.Session(src).check(),
+    }
+
+    # At Python's default limit, parsing the parentheses overflows from
+    # about 98 deep; the ifs parse up to about 326 deep but checking them
+    # overflows from about 198.  The depths leave room either side.
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "source",
+        [_nested_parens(150), _nested_ifs(260)],
+        ids=["parens-150", "ifs-260"],
+    )
+    def test_default_recursion_limit(self, entry, source):
+        from repro.lang import parse_program
+
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)  # what a library caller has
+            if "if" in source:
+                parse_program(source)  # parses cleanly; checking overflows
+            result = self.ENTRY_POINTS[entry](source)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert not result.ok
+        assert result.exit_code is ExitCode.CHECK_REJECT
+        (diag,) = result.diagnostics
+        assert diag.code == "NestingTooDeep"
+        assert "nests too deeply" in diag.message
+
+    def _repro(self, *argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+
+    def test_cli_rejects_without_traceback(self, tmp_path):
+        deep = tmp_path / "deep.fcl"
+        deep.write_text(_nested_parens(20_000))
+        check = self._repro("check", str(deep))
+        assert check.returncode == 1
+        assert "Traceback" not in check.stderr
+        assert "nests too deeply" in check.stderr
+        batch = self._repro("batch", str(deep))
+        assert batch.returncode == 1
+        assert "Traceback" not in batch.stderr
+        assert "REJECTED — NestingTooDeep" in batch.stdout
+
+    def test_cli_still_checks_deep_programs(self, tmp_path, capsys):
+        # Five times deeper than the default limit allows: the CLI's own
+        # raised limit still decides, no new one was added.  (Depth 2,000
+        # checks too, but checking cost grows with depth squared.)
+        from repro.cli import main
+
+        ok = tmp_path / "ok.fcl"
+        ok.write_text(_nested_parens(500))
+        assert main(["check", str(ok)]) == 0
+        assert "OK" in capsys.readouterr().out
+
+
 class TestRetiredShims:
+    def test_bench_command_and_exit_alias_are_gone(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == ExitCode.USAGE
+        capsys.readouterr()
+        # No alias is left on 3 (RUNTIME_ERROR).
+        assert set(ExitCode.__members__) == {
+            "OK", "CHECK_REJECT", "VERIFY_FAIL", "RUNTIME_ERROR",
+            "DIVERGENCE", "FUZZ_VIOLATION", "USAGE",
+        }
+
     def test_check_source_shim_is_gone(self):
         import repro
 

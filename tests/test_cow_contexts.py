@@ -22,10 +22,13 @@ import copy
 
 import pytest
 
+from repro import telemetry
 from repro.core import framing
+from repro.core.checker import Checker
 from repro.core.contexts import StaticContext, contexts_equal
 from repro.core.regions import Region, RegionRenaming, RegionSupply
-from repro.lang import ast
+from repro.corpus import corpus_names, load_source
+from repro.lang import ast, parse_program
 
 NODE = ast.StructType("node")
 INT = ast.PrimType("int")
@@ -230,3 +233,45 @@ def test_clone_preserves_snapshot_equality():
     clone = base.clone()
     assert contexts_equal(base, clone)
     assert base.canonical_key() == clone.canonical_key()
+
+
+def _chain_program(chain=20):
+    """A function with ``chain`` sequential iso manipulations and branches:
+    every branch clones the context, and each arm writes it."""
+    lines = [
+        "struct data { v : int; }",
+        "struct box { iso inner : data?; }",
+        "def fn(b : box, c : bool) : int {",
+        "  let acc = 0;",
+    ]
+    for i in range(chain):
+        lines.append(f"  let d{i} = new data(v = {i});")
+        lines.append(f"  b.inner = some(d{i});")
+        lines.append(
+            f"  if (c) {{ let some(x{i}) = b.inner in {{ acc = acc + x{i}.v }}"
+            f" else {{ acc = acc }} }} else {{ acc = acc + {i} }};"
+        )
+    lines.append("  acc")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(corpus_names()) + ["generated-chain-20"]
+)
+def test_persistent_clones_copy_fewer_dicts_than_eager(name):
+    """Over a whole checker run, the path copies clones actually made stay
+    below the dicts an eager deep clone would have allocated."""
+    source = _chain_program() if name.startswith("generated") else load_source(name)
+    program = parse_program(source)
+    reg = telemetry.enable()
+    try:
+        Checker(program, record=False).check_program()
+    finally:
+        telemetry.disable()
+    copies = sum(
+        reg.value(f"contexts.persist.{kind}_copies")
+        for kind in ("heap", "gamma", "tc", "tv")
+    )
+    assert reg.value("contexts.clones") > 0
+    assert copies < reg.value("contexts.clone.dicts_eager")

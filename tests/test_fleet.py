@@ -11,10 +11,10 @@ The properties under test are the module contract of
   the fleet keeps serving;
 * drain answers everything admitted before exiting.
 
-Slow-request tests use a ``while`` spin and poll the control-plane
-``stats`` RPC (answered inline on the loop) for ``inflight == 1``, so
-the overload/drain assertions are ordered by observed server state, not
-sleeps.
+Slow-request tests use a ``while`` spin.  The crash and drain tests poll
+the control-plane ``stats`` RPC (answered inline on the loop) for the
+in-flight count, so their assertions are ordered by observed server
+state, not sleeps; the overload test counts every outcome instead.
 """
 
 import os
@@ -52,14 +52,21 @@ def leak(d : data) : int { consumed }
 """
 
 
-def _fleet(workers=2, cache_dir=None, **server_kwargs):
+def _fleet(workers=2, cache_dir=None, cache_entries=None, **server_kwargs):
     config = ServerConfig(
         host=None, unix_path=tempfile.mktemp(suffix=".sock"), **server_kwargs
     )
     return FleetThread(
         config=config,
-        fleet_config=FleetConfig(workers=workers, cache_dir=cache_dir),
+        fleet_config=FleetConfig(
+            workers=workers, cache_dir=cache_dir, cache_entries=cache_entries
+        ),
     )
+
+
+def _distinct(i):
+    """Programs with the same checking cost and distinct content hashes."""
+    return GOOD.replace("add", f"add_{i}")
 
 
 def _wait_for(predicate, timeout=30.0, interval=0.02):
@@ -157,36 +164,80 @@ class TestFleetIntrospection:
         assert doc["gauges"]["fleet.workers"] == 2
 
     def test_shared_store_hits_across_workers(self, tmp_path):
-        # Worker A verifies and stores a certificate; worker B (the only
-        # other worker) must replay it from the shared store.
-        with _fleet(workers=2, cache_dir=str(tmp_path)) as handle:
+        """Both workers share one certificate store: after a cold fill,
+        re-verifying the same sources under fresh filenames (which busts
+        the per-worker result memo, keyed on filename, but not the store,
+        keyed on content) is answered from the store.  A store capped
+        below its working set evicts."""
+        sources = 8
+
+        def counter(client, name):
+            return client.metrics()["counters"].get(name, 0)
+
+        with _fleet(workers=2, cache_dir=str(tmp_path / "shared")) as handle:
             with Client(handle.address) as client:
-                for i in range(6):
-                    # Same source, fresh filename: busts the per-worker
-                    # result memo (keyed on filename) but not the cert
-                    # store (keyed on content alone).
-                    assert client.verify(GOOD, filename=f"v{i}.fcl").ok
-                counters = client.metrics()["counters"]
-                assert counters.get("cache.hits", 0) >= 1
-                assert counters.get("cache.misses", 0) >= 1
+                for i in range(sources):
+                    assert client.verify(_distinct(i), filename=f"c{i}.fcl").ok
+                hits = counter(client, "cache.hits")
+                misses = counter(client, "cache.misses")
+                assert misses >= sources
+                for warm in range(2):
+                    for i in range(sources):
+                        assert client.verify(
+                            _distinct(i), filename=f"w{warm}-{i}.fcl"
+                        ).ok
+                hits = counter(client, "cache.hits") - hits
+                misses = counter(client, "cache.misses") - misses
+        assert hits / (hits + misses) >= 0.9, (hits, misses)
+
+        with _fleet(
+            workers=2, cache_dir=str(tmp_path / "capped"), cache_entries=4
+        ) as handle:
+            with Client(handle.address) as client:
+                for i in range(sources):
+                    assert client.verify(_distinct(100 + i)).ok
+                assert counter(client, "cache.evictions") > 0
 
 
 class TestFleetRobustness:
     def test_overload_refused_cleanly(self):
-        with _fleet(workers=1, max_queue=1) as handle:
-            with Client(handle.address, timeout=60) as blocker_conn:
-                background = threading.Thread(
-                    target=lambda: blocker_conn.run(SPIN, "spin", [300_000])
-                )
-                with Client(handle.address) as client:
-                    background.start()
-                    assert _wait_for(
-                        lambda: client.stats()["inflight"] >= 1
-                    ), "slow request never admitted"
-                    with pytest.raises(RemoteError) as excinfo:
-                        client.verify(GOOD)
-                    assert excinfo.value.code == "overloaded"
-                background.join(timeout=120)
+        """4 clients x 3 slow spins against one worker and a two-slot
+        queue: every outcome is a result or a clean ``overloaded``
+        refusal, no client hangs, and the worker never crashes."""
+        clients, spins = 4, 3
+        outcomes = []
+        lock = threading.Lock()
+        with _fleet(workers=1, max_queue=2) as handle:
+            start = threading.Barrier(clients)
+
+            def one_client():
+                with Client(handle.address, timeout=120) as client:
+                    start.wait(timeout=60)
+                    for _ in range(spins):
+                        try:
+                            result = client.run(SPIN, "spin", [100_000])
+                            outcome = "ok" if result.value == "100000" else "wrong"
+                        except RemoteError as exc:
+                            outcome = exc.code
+                        with lock:
+                            outcomes.append(outcome)
+
+            threads = [
+                threading.Thread(target=one_client, daemon=True)
+                for _ in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads), "hung client"
+            with Client(handle.address) as probe:
+                stats = probe.stats()
+        assert set(outcomes) <= {"ok", "overloaded"}, outcomes
+        assert len(outcomes) == clients * spins
+        assert outcomes.count("ok") >= 1 and outcomes.count("overloaded") >= 1
+        assert stats["requests"].get("server.worker.crashes", 0) == 0
+        assert stats["fleet"]["restarts"] == 0
 
     def test_worker_killed_midrequest_respawns(self):
         with _fleet(workers=1) as handle:
@@ -219,27 +270,34 @@ class TestFleetRobustness:
                 assert counters.get("server.worker.crashes", 0) >= 1
 
     def test_drain_completes_inflight_work(self):
-        with _fleet(workers=1) as handle:
+        """Shutdown with 4 spins in flight over 2 workers: every one of
+        them completes with its real result."""
+        inflight = 4
+        with _fleet(workers=2) as handle:
             address = handle.address
-            outcome = {}
+            outcomes = []
 
             def slow():
                 try:
                     result = Client(address, timeout=60).run(
                         SPIN, "spin", [300_000]
                     )
-                    outcome["value"] = result.value
+                    outcomes.append(result.value)
                 except Exception as exc:  # noqa: BLE001
-                    outcome["error"] = repr(exc)
+                    outcomes.append(repr(exc))
 
             with Client(address) as control:
-                background = threading.Thread(target=slow)
-                background.start()
-                assert _wait_for(lambda: control.stats()["inflight"] >= 1)
+                threads = [threading.Thread(target=slow) for _ in range(inflight)]
+                for thread in threads:
+                    thread.start()
+                assert _wait_for(
+                    lambda: control.stats()["inflight"] >= inflight
+                ), "spins never all admitted"
                 control.shutdown()
-            background.join(timeout=120)
+            for thread in threads:
+                thread.join(timeout=120)
             handle.stop()
-            assert outcome == {"value": "300000"}
+            assert outcomes == ["300000"] * inflight
 
 
 class TestFleetCompileCache:

@@ -1,6 +1,6 @@
 """Liveness analysis (the §5.1 unification oracle)."""
 
-from repro.core.liveness import Liveness, uses
+from repro.core.analysis import Liveness, uses
 from repro.lang import ast, parse_program
 
 
