@@ -1,15 +1,17 @@
 """The stable programmatic facade: ``check`` / ``verify`` / ``run``.
 
-Before this module, callers reached into four inconsistent entry points
-(``core.checker.check_source``, ``verifier.verify_source``,
-``runtime.machine.run_function``, ``pipeline.Pipeline``) with mismatched
-signatures, exit-code conventions, and ad-hoc dict payloads.  The facade
-gives every consumer — the CLI, the batch pipeline, and the ``repro
-serve`` RPC daemon — one typed surface:
+The facade gives every consumer — the CLI and the ``repro serve`` RPC
+daemon — one typed surface:
 
 * :func:`check`  → :class:`CheckResult`
 * :func:`verify` → :class:`VerifyResult`
 * :func:`run`    → :class:`RunResult`
+
+Every check or verify verdict, and the check a :func:`run` makes first,
+comes from one place, :meth:`repro.pipeline.Pipeline.run`;
+:func:`verdict` converts its result.  The facade, the CLI's ``check``/
+``verify``/``corpus``/``stats``/``run`` and the daemon share it, so a
+program gets the same answer whichever way it comes in.
 
 :class:`Session` is the warm handle for embedders: parse + elaborate
 once, then ``check``/``verify``/``run`` repeatedly (and concurrently)
@@ -39,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .core.checker import DEFAULT_PROFILE, CheckProfile
-from .core.errors import NestingTooDeep, TypeError_
 from .lang.tokens import SourceSpan
 
 API_VERSION = "repro-api/1"
@@ -331,15 +332,6 @@ def _traced(name: str):
     return decorate
 
 
-def _failure(exc: BaseException, filename: str) -> List[Diagnostic]:
-    """The diagnostics for a program error.  A ``RecursionError`` means
-    the program nests deeper than the recursive parser, checker or
-    verifier can follow; it is reported as :class:`NestingTooDeep`."""
-    if isinstance(exc, RecursionError):
-        exc = NestingTooDeep()
-    return [Diagnostic.from_exception(exc, file=filename)]
-
-
 def _make_session(
     source: str,
     filename: str,
@@ -348,16 +340,55 @@ def _make_session(
 ):
     """(session, failure-diagnostics). Parse + program-level elaboration;
     both kinds of failure come back as diagnostics, not exceptions."""
-    from .lang import ParseError, parse_program
-    from .lang.lexer import LexError
-    from .pipeline.session import ProgramSession
+    from .pipeline import open_session
 
-    try:
-        if program is None:
-            program = parse_program(source)
-        return ProgramSession(source, program=program, profile=profile), []
-    except (ParseError, LexError, TypeError_, RecursionError) as exc:
-        return None, _failure(exc, filename)
+    session, error = open_session(source, program=program, profile=profile)
+    if session is None:
+        return None, [error.to_diagnostic(filename)]
+    return session, []
+
+
+def verdict(
+    pipeline, source: str, *, filename: str = "<input>", program=None, session=None
+):
+    """Run ``source`` through ``pipeline`` (a
+    :class:`repro.pipeline.Pipeline`) and convert its result: a
+    :class:`VerifyResult` when the pipeline verifies, a
+    :class:`CheckResult` when it only checks.  ``program`` is ``source``
+    already parsed; ``session`` is a warm
+    :class:`~repro.pipeline.ProgramSession` for it.
+
+    This is the one converter between ``Pipeline.run`` and the facade's
+    results; :func:`check`, :func:`verify`, :func:`run`, the CLI and the
+    daemon all call it.  On a failure ``functions`` is still the
+    program's function count, and a verify failure reports the
+    derivation's size as ``nodes``."""
+    result = pipeline.run(filename, source, program, session)
+    diagnostics = [] if result.ok else [result.error.to_diagnostic(filename)]
+    nodes = result.nodes if result.ok else result.failed_nodes
+    if not pipeline.verify:
+        return CheckResult(
+            ok=result.ok,
+            functions=result.declared,
+            nodes=nodes,
+            diagnostics=diagnostics,
+        )
+    return VerifyResult(
+        ok=result.ok,
+        functions=result.declared,
+        nodes=nodes,
+        verified=result.verified,
+        diagnostics=diagnostics,
+    )
+
+
+def _check_or_verify(source, filename, program, profile, session, verify):
+    from .pipeline import Pipeline
+
+    pipeline = Pipeline(verify=verify, profile=profile)
+    return verdict(
+        pipeline, source, filename=filename, program=program, session=session
+    )
 
 
 @_traced("api.check")
@@ -371,25 +402,12 @@ def check(
 ) -> CheckResult:
     """Parse and type-check ``source``; never raises on program errors.
 
-    ``session`` lets warm callers (the server) reuse a parsed/elaborated
-    :class:`~repro.pipeline.ProgramSession`; results are identical.
+    ``program`` is ``source`` already parsed; ``session`` lets warm
+    callers (the server) reuse a parsed/elaborated
+    :class:`~repro.pipeline.ProgramSession`.  Results are identical.
     """
-    if session is None:
-        session, failed = _make_session(source, filename, program, profile)
-        if session is None:
-            return CheckResult(ok=False, diagnostics=failed)
-    try:
-        derivation = session.checker.check_program()
-    except (TypeError_, RecursionError) as exc:
-        return CheckResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            diagnostics=_failure(exc, filename),
-        )
-    return CheckResult(
-        ok=True,
-        functions=len(session.program.funcs),
-        nodes=derivation.node_count(),
+    return _check_or_verify(
+        source, filename, program, profile, session, verify=False
     )
 
 
@@ -403,34 +421,8 @@ def verify(
     session=None,
 ) -> VerifyResult:
     """Check, then independently verify the derivation (§5)."""
-    from .verifier import VerificationError
-
-    if session is None:
-        session, failed = _make_session(source, filename, program, profile)
-        if session is None:
-            return VerifyResult(ok=False, diagnostics=failed)
-    try:
-        derivation = session.checker.check_program()
-    except (TypeError_, RecursionError) as exc:
-        return VerifyResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            diagnostics=_failure(exc, filename),
-        )
-    try:
-        verified = session.verifier.verify_program(derivation)
-    except (VerificationError, RecursionError) as exc:
-        return VerifyResult(
-            ok=False,
-            functions=len(session.program.funcs),
-            nodes=derivation.node_count(),
-            diagnostics=_failure(exc, filename),
-        )
-    return VerifyResult(
-        ok=True,
-        functions=len(session.program.funcs),
-        nodes=derivation.node_count(),
-        verified=verified,
+    return _check_or_verify(
+        source, filename, program, profile, session, verify=True
     )
 
 
@@ -485,11 +477,12 @@ def run(
         if session is None:
             return RunResult(ok=False, engine=engine, diagnostics=failed)
     if check_first:
-        try:
-            session.checker.check_program()
-        except (TypeError_, RecursionError) as exc:
+        checked = _check_or_verify(
+            source, filename, None, profile, session, verify=False
+        )
+        if not checked.ok:
             return RunResult(
-                ok=False, engine=engine, diagnostics=_failure(exc, filename)
+                ok=False, engine=engine, diagnostics=checked.diagnostics
             )
     if function not in session.program.funcs:
         return RunResult(
@@ -637,5 +630,6 @@ __all__ = [
     "check",
     "render_value",
     "run",
+    "verdict",
     "verify",
 ]

@@ -43,10 +43,12 @@ to dump the telemetry registry as structured JSON (schema
 program in a module-level ``SOURCE = \"\"\"...\"\"\"`` literal (the style of
 ``examples/``), so ``repro stats examples/quickstart.py`` just works.
 
-``check``/``verify``/``corpus``/``batch`` accept the pipeline flags
-``--cache DIR`` (persistent content-addressed certificate cache) and
-``--trust-cache`` (skip re-verifying cached certificates; integrity comes
-from the content hash).  See docs/PERFORMANCE.md.
+``check``/``verify``/``corpus``/``batch`` run through the one
+check/verify path, :meth:`repro.pipeline.Pipeline.run`, as do
+``stats`` and a checked ``run`` (through the facade).  The first four
+accept ``--cache DIR`` (persistent content-addressed certificate cache)
+and ``--trust-cache`` (skip re-verifying cached certificates; integrity
+comes from the content hash).  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ from typing import List, Optional
 from . import api
 from .api import Diagnostic, ExitCode
 from .core.checker import Checker
-from .core.errors import NestingTooDeep, TypeError_
+from .core.errors import TypeError_
 from .lang import ParseError, parse_program
 from .lang.lexer import LexError
 from .runtime.heap import Heap
 from .runtime.machine import run_function
-from .runtime.values import NONE, UNIT, Loc
+from .runtime.values import Loc
 from .verifier import VerificationError, Verifier
 
 
@@ -89,6 +91,21 @@ def _fail(diag: Diagnostic, source: str = "") -> None:
     """Report one diagnostic: render to stderr, record for metrics."""
     _FAILURES.append(diag)
     print(diag.render(source), file=sys.stderr)
+
+
+def _positive(kind):
+    """The argparse ``type=`` of every limit flag: a ``kind`` number above
+    zero.  A limit of zero or less would refuse all work, so it is a
+    usage error that names the flag."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
 
 
 def _usage(message: str) -> SystemExit:
@@ -134,25 +151,16 @@ def _read_source(path: str) -> str:
 
 
 def _load(path: str):
+    """Parse ``path`` for the commands that need the program itself; a
+    program that does not lex or parse is reported and exits 1."""
     source = _read_source(path)
     try:
         return parse_program(source)
-    except (ParseError, LexError) as exc:
-        _fail(Diagnostic.from_exception(exc, file=path), source)
-    except RecursionError:
-        _fail(Diagnostic.from_exception(NestingTooDeep(), file=path), source)
+    except (ParseError, LexError, RecursionError) as exc:
+        from .pipeline import ErrorInfo
+
+        _fail(ErrorInfo.from_exception(exc).to_diagnostic(path), source)
     raise SystemExit(int(ExitCode.CHECK_REJECT))
-
-
-def _report_type_error(path: str, exc: TypeError_) -> None:
-    _fail(Diagnostic.from_exception(exc, file=path), _SOURCES.get(path, ""))
-
-
-def _wants_pipeline(args: argparse.Namespace) -> bool:
-    """Pipeline flags route a command through the batch engine; without
-    them the original single-process code path runs, byte-identical to
-    previous releases."""
-    return bool(args.cache or args.trust_cache)
 
 
 def _make_pipeline(args: argparse.Namespace, verify: bool = True):
@@ -165,51 +173,51 @@ def _make_pipeline(args: argparse.Namespace, verify: bool = True):
     )
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    program = _load(args.file)
-    source = _SOURCES[args.file]
-    if _wants_pipeline(args):
-        with _make_pipeline(args, verify=False) as pipeline:
-            result = pipeline.run(args.file, source, program)
-        if not result.ok:
-            _fail(result.error.to_diagnostic(args.file), source)
-            return int(ExitCode.CHECK_REJECT)
-        print(
-            f"{args.file}: OK — {len(result.functions)} functions, "
-            f"{result.nodes} derivation nodes"
-        )
-        return int(ExitCode.OK)
-    result = api.check(source, filename=args.file, program=program)
+def _report(result, path: str, source: str) -> int:
+    """Print one check or verify verdict — its summary line, or its
+    diagnostics on stderr — and return its exit code.  The local and
+    ``client`` forms of ``check``, ``verify`` and ``corpus`` share it."""
     if not result.ok:
         for diag in result.diagnostics:
             _fail(diag, source)
         return int(result.exit_code)
-    print(result.summary(args.file))
+    print(result.summary(path))
     return int(ExitCode.OK)
+
+
+def _corpus(verify_one) -> int:
+    """``repro corpus`` and ``repro client corpus``: one line per corpus
+    program, from ``verify_one(source, name)``'s :class:`VerifyResult`."""
+    from .corpus import corpus_names, load_source
+
+    for name in corpus_names():
+        source = load_source(name)
+        result = verify_one(source, name)
+        if not result.ok:
+            return _report(result, name, source)
+        print(
+            f"{name:8s} {result.functions:3d} functions  "
+            f"checked + verified ({result.verified} nodes)"
+        )
+    return int(ExitCode.OK)
+
+
+def _verdict(args: argparse.Namespace, verify: bool) -> int:
+    program = _load(args.file)
+    source = _SOURCES[args.file]
+    with _make_pipeline(args, verify=verify) as pipeline:
+        result = api.verdict(
+            pipeline, source, filename=args.file, program=program
+        )
+    return _report(result, args.file, source)
+
+
+def cmd_check(args: argparse.Namespace) -> int:
+    return _verdict(args, verify=False)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    program = _load(args.file)
-    source = _SOURCES[args.file]
-    if _wants_pipeline(args):
-        with _make_pipeline(args) as pipeline:
-            result = pipeline.run(args.file, source, program)
-        if not result.ok:
-            _fail(result.error.to_diagnostic(args.file), source)
-            return int(
-                ExitCode.CHECK_REJECT
-                if result.error.stage == "check"
-                else ExitCode.VERIFY_FAIL
-            )
-        print(f"{args.file}: verified ({result.verified} nodes)")
-        return int(ExitCode.OK)
-    result = api.verify(source, filename=args.file, program=program)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(args.file))
-    return int(ExitCode.OK)
+    return _verdict(args, verify=True)
 
 
 def _parse_args(raw: List[str]):
@@ -227,28 +235,6 @@ def _parse_args(raw: List[str]):
                     f"arguments must be ints or true/false, got {text!r}"
                 )
     return values
-
-
-def _show(value, heap: Heap) -> str:
-    if value is UNIT:
-        return "()"
-    if value is NONE:
-        return "none"
-    if isinstance(value, Loc):
-        obj = heap.obj(value)
-        fields = ", ".join(
-            f"{name} = {_brief(v)}" for name, v in obj.fields.items()
-        )
-        return f"{obj.struct.name}{{{fields}}} @ {value}"
-    return repr(value)
-
-
-def _brief(value) -> str:
-    if value is NONE:
-        return "none"
-    if isinstance(value, Loc):
-        return str(value)
-    return repr(value)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -269,11 +255,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         return int(ExitCode.USAGE)
     if not args.unchecked:
-        try:
-            Checker(program).check_program()
-        except TypeError_ as exc:
-            _report_type_error(args.file, exc)
-            return 1
+        source = _SOURCES[args.file]
+        checked = api.check(source, filename=args.file, program=program)
+        if not checked.ok:
+            return _report(checked, args.file, source)
     tracer = None
     if args.trace or args.trace_json or args.paranoid:
         from .runtime.trace import Tracer
@@ -321,9 +306,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         except Exception as exc:
             print(f"paranoid: erased run failed: {exc}", file=sys.stderr)
             return int(ExitCode.DIVERGENCE)
-        if tracer.to_dicts() != tracer2.to_dicts() or _show(
+        if tracer.to_dicts() != tracer2.to_dicts() or api.render_value(
             result, heap
-        ) != _show(result2, heap2):
+        ) != api.render_value(result2, heap2):
             print(
                 "paranoid: DIVERGENCE — erased run's observable trace "
                 "differs from the guarded run",
@@ -349,9 +334,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             except Exception as exc:
                 print(f"paranoid: tree run failed: {exc}", file=sys.stderr)
                 return int(ExitCode.DIVERGENCE)
-            if tracer.to_dicts() != tracer3.to_dicts() or _show(
+            if tracer.to_dicts() != tracer3.to_dicts() or api.render_value(
                 result, heap
-            ) != _show(result3, heap3):
+            ) != api.render_value(result3, heap3):
                 print(
                     "paranoid: DIVERGENCE — ir engine's observable trace "
                     "differs from the tree interpreter",
@@ -368,7 +353,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{interp.stats.reservation_checks} checks validated)",
             file=sys.stderr,
         )
-    print(_show(result, heap))
+    print(api.render_value(result, heap))
     if args.trace_json:
         import json
 
@@ -458,38 +443,26 @@ def cmd_stats(args: argparse.Namespace) -> int:
     metrics table (and export JSON via the shared --metrics-json flag)."""
     from . import telemetry
 
-    program = _load(args.file)
-    try:
-        derivation = Checker(program).check_program()
-    except TypeError_ as exc:
-        _report_type_error(args.file, exc)
-        return 1
-    try:
-        nodes = Verifier(program).verify_program(derivation)
-    except VerificationError as exc:
-        print(f"{args.file}: VERIFICATION FAILED: {exc}", file=sys.stderr)
-        return 2
-    fname = args.function or _pick_entry(program)
+    source = _read_source(args.file)
+    session = api.Session(source, filename=args.file)
+    verified = session.verify()
+    if not verified.ok:
+        return _report(verified, args.file, source)
+    fname = args.function or _pick_entry(session.program)
     ran = ""
     if fname is not None:
-        if fname not in program.funcs:
+        if fname not in session.program.funcs:
             print(f"error: no function {fname!r}", file=sys.stderr)
             return 1
-        heap = Heap()
-        try:
-            run_function(
-                program,
-                fname,
-                _parse_args(args.args),
-                heap=heap,
-                sink_sends=True,
-            )
-        except Exception as exc:
-            print(f"runtime error in {fname}: {exc}", file=sys.stderr)
+        result = session.run(fname, _parse_args(args.args), check_first=False)
+        if not result.ok:
+            message = result.diagnostics[0].message
+            print(f"runtime error in {fname}: {message}", file=sys.stderr)
             return 3
         ran = f"; ran {fname}()"
     print(
-        f"{args.file}: checked + verified ({nodes} derivation nodes){ran}"
+        f"{args.file}: checked + verified "
+        f"({verified.verified} derivation nodes){ran}"
     )
     print()
     print(telemetry.render_table(telemetry.registry()))
@@ -711,33 +684,10 @@ def cmd_table1(_args: argparse.Namespace) -> int:
 
 
 def cmd_corpus(args: argparse.Namespace) -> int:
-    from .corpus import corpus_names, load_program, load_source
-
-    if _wants_pipeline(args):
-        with _make_pipeline(args) as pipeline:
-            for name in corpus_names():
-                result = pipeline.run(name, load_source(name))
-                if not result.ok:
-                    print(
-                        f"{name}: {result.error.stage} error: "
-                        f"{result.error.message}",
-                        file=sys.stderr,
-                    )
-                    return 1 if result.error.stage == "check" else 2
-                print(
-                    f"{name:8s} {len(result.functions):3d} functions  "
-                    f"checked + verified ({result.verified} nodes)"
-                )
-        return 0
-    for name in corpus_names():
-        program = load_program(name)
-        derivation = Checker(program).check_program()
-        nodes = Verifier(program).verify_program(derivation)
-        print(
-            f"{name:8s} {len(program.funcs):3d} functions  "
-            f"checked + verified ({nodes} nodes)"
+    with _make_pipeline(args) as pipeline:
+        return _corpus(
+            lambda source, name: api.verdict(pipeline, source, filename=name)
         )
-    return 0
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
@@ -877,28 +827,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return int(ExitCode.OK)
 
 
-def _client_check(client, path: str) -> int:
-    source = _read_source(path)
-    result = client.check(source, filename=path)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(path))
-    return int(ExitCode.OK)
-
-
-def _client_verify(client, path: str) -> int:
-    source = _read_source(path)
-    result = client.verify(source, filename=path)
-    if not result.ok:
-        for diag in result.diagnostics:
-            _fail(diag, source)
-        return int(result.exit_code)
-    print(result.summary(path))
-    return int(ExitCode.OK)
-
-
 def _client_run(client, args: argparse.Namespace) -> int:
     if not args.rest:
         raise _usage("client run wants FILE FUNCTION [ARGS...]")
@@ -921,23 +849,6 @@ def _client_run(client, args: argparse.Namespace) -> int:
             _fail(diag, source)
         return int(result.exit_code)
     print(result.value)
-    return int(ExitCode.OK)
-
-
-def _client_corpus(client) -> int:
-    """Byte-compatible with ``repro corpus``: same lines, same order."""
-    from .corpus import corpus_names, load_source
-
-    for name in corpus_names():
-        result = client.verify(load_source(name), filename=name)
-        if not result.ok:
-            for diag in result.diagnostics:
-                _fail(diag, load_source(name))
-            return int(result.exit_code)
-        print(
-            f"{name:8s} {result.functions:3d} functions  "
-            f"checked + verified ({result.verified} nodes)"
-        )
     return int(ExitCode.OK)
 
 
@@ -1043,18 +954,17 @@ def _client_dispatch(client, args: argparse.Namespace) -> int:
     if args.action == "ping":
         print(json.dumps(client.ping(), sort_keys=True))
         return int(ExitCode.OK)
-    if args.action == "check":
+    if args.action in ("check", "verify"):
         if len(args.rest) != 1:
-            raise _usage("client check wants exactly one FILE")
-        return _client_check(client, args.rest[0])
-    if args.action == "verify":
-        if len(args.rest) != 1:
-            raise _usage("client verify wants exactly one FILE")
-        return _client_verify(client, args.rest[0])
+            raise _usage(f"client {args.action} wants exactly one FILE")
+        path = args.rest[0]
+        source = _read_source(path)
+        ask = client.check if args.action == "check" else client.verify
+        return _report(ask(source, filename=path), path, source)
     if args.action == "run":
         return _client_run(client, args)
     if args.action == "corpus":
-        return _client_corpus(client)
+        return _corpus(lambda source, name: client.verify(source, filename=name))
     if args.action == "batch":
         if not args.rest:
             raise _usage("client batch wants PATH...")
@@ -1199,7 +1109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-steps",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="abort with a runtime error after N interpreter steps "
@@ -1445,7 +1355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-queue",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="max requests in flight before new ones get an "
@@ -1453,14 +1363,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout",
-        type=float,
+        type=_positive(float),
         default=None,
         metavar="SECONDS",
         help="per-request timeout (default 30)",
     )
     p.add_argument(
         "--max-steps",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="step budget applied to every run request (default 5000000)",
@@ -1476,7 +1386,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--threads",
-        type=int,
+        type=_positive(int),
         default=8,
         metavar="N",
         help="worker threads executing requests in single-process "
@@ -1491,7 +1401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-entries",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="certificate-store entry cap; least-recently-used "
@@ -1499,14 +1409,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cache-bytes",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="BYTES",
         help="certificate-store size cap in bytes (default unlimited)",
     )
     p.add_argument(
         "--max-frame",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="BYTES",
         help="request frame size limit (default 4 MiB)",

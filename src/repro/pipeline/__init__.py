@@ -17,7 +17,13 @@ from .cache import (
     profile_tag,
     struct_fingerprint,
 )
-from .runner import ErrorInfo, FunctionResult, Pipeline, ProgramResult
+from .runner import (
+    ErrorInfo,
+    FunctionResult,
+    Pipeline,
+    ProgramResult,
+    open_session,
+)
 from .session import ProgramSession
 
 __all__ = [
@@ -31,6 +37,7 @@ __all__ = [
     "ProgramSession",
     "callees_of",
     "discover",
+    "open_session",
     "profile_tag",
     "run_batch",
     "struct_fingerprint",

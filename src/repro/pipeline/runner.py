@@ -17,6 +17,14 @@ through two cooperating mechanisms:
   verified when it was stored, and the key proves the inputs have not
   changed since).
 
+:meth:`Pipeline.run` is the one route from source text to a check or
+verify verdict: the facade (:mod:`repro.api`), ``repro check``/
+``verify``/``corpus``/``batch`` and the daemon's ``check``/``verify``/
+``batch`` methods all call it.  A program that does not lex, parse or
+elaborate, that nests too deeply, or that the checker or verifier
+rejects comes back as a :class:`ProgramResult` carrying one
+:class:`ErrorInfo`; it never raises.
+
 Determinism contract, relied on by tests and CI: for any program and any
 cache state, a run produces the accept/reject decision and first-error
 diagnostic of ``Checker.check_program`` + ``Verifier.verify_program``
@@ -35,10 +43,21 @@ from ..core.checker import CheckProfile, DEFAULT_PROFILE
 from ..core.derivation import FuncDerivation
 from ..core.errors import NestingTooDeep, TypeError_
 from ..core.serialize import func_derivation_from_json, func_derivation_to_json
-from ..lang import ast
+from ..lang import ParseError, ast
+from ..lang.lexer import LexError
 from ..verifier import VerificationError
 from .cache import CacheEntry, CertCache
 from .session import ProgramSession
+
+#: What a program can raise between source text and verdict.  Each is a
+#: rejection of the program, reported as an :class:`ErrorInfo`.
+PROGRAM_ERRORS = (
+    LexError,
+    ParseError,
+    TypeError_,
+    VerificationError,
+    RecursionError,
+)
 
 
 @dataclass
@@ -51,15 +70,25 @@ class ErrorInfo:
     span: Optional[Tuple[int, int, int, int]] = None
 
     @classmethod
-    def from_exception(cls, stage: str, exc: BaseException) -> "ErrorInfo":
-        span = getattr(exc, "span", None)
+    def from_exception(cls, exc: BaseException) -> "ErrorInfo":
+        """The one rule turning a program error into a record.
+
+        A ``RecursionError`` means the program nests deeper than the
+        recursive parser, checker or verifier can follow; it is recorded
+        as :class:`NestingTooDeep`.  Only a :class:`VerificationError` is
+        a verify-stage failure.  Class, message and span are what
+        :meth:`repro.api.Diagnostic.from_exception` gives, so
+        :meth:`to_diagnostic` returns exactly that diagnostic."""
+        from ..api import Diagnostic
+
+        if isinstance(exc, RecursionError):
+            exc = NestingTooDeep()
+        diag = Diagnostic.from_exception(exc)
         return cls(
-            stage=stage,
-            cls=type(exc).__name__,
-            message=getattr(exc, "message", None) or str(exc),
-            span=None
-            if span is None
-            else (span.start, span.end, span.line, span.column),
+            stage="verify" if isinstance(exc, VerificationError) else "check",
+            cls=diag.code,
+            message=diag.message,
+            span=diag.span,
         )
 
     def to_diagnostic(self, file: str = "<input>"):
@@ -71,13 +100,24 @@ class ErrorInfo:
         return Diagnostic(
             file=file,
             severity="error",
-            code="VerificationError" if self.stage == "verify" else self.cls,
+            code=self.cls,
             message=self.message,
             span=self.span,
         )
 
-    def render(self, source: str, filename: str) -> str:
-        return self.to_diagnostic(filename).render(source)
+
+def open_session(
+    source: str,
+    program: Optional[ast.Program] = None,
+    profile: CheckProfile = DEFAULT_PROFILE,
+) -> Tuple[Optional[ProgramSession], Optional[ErrorInfo]]:
+    """Parse (unless ``program`` is given) and elaborate one program:
+    ``(session, None)``, or ``(None, error)`` when it does not lex, parse
+    or elaborate."""
+    try:
+        return ProgramSession(source, program=program, profile=profile), None
+    except PROGRAM_ERRORS as exc:
+        return None, ErrorInfo.from_exception(exc)
 
 
 @dataclass
@@ -99,8 +139,15 @@ class ProgramResult:
     label: str
     ok: bool
     error: Optional[ErrorInfo] = None
+    #: One result per function in sorted order; empty on a failure.
     functions: List[FunctionResult] = field(default_factory=list)
     wall_ms: float = 0.0
+    #: The functions the program declares, on a failure too (0 when it
+    #: does not lex, parse or elaborate).
+    declared: int = 0
+    #: On a failure after every function was checked (in the verify
+    #: phase), the size of the checker's derivation; 0 otherwise.
+    failed_nodes: int = 0
 
     @property
     def nodes(self) -> int:
@@ -123,13 +170,16 @@ class ProgramResult:
 class _Failed(Exception):
     """Stops a program's run at its first error."""
 
-    def __init__(self, name: str, error: ErrorInfo):
+    def __init__(self, name: Optional[str], error: ErrorInfo, nodes: int):
         self.name = name
         self.error = error
+        self.nodes = nodes
 
 
 class Pipeline:
-    """Reusable batch check/verify engine (one per CLI invocation)."""
+    """Reusable check/verify engine.  One configuration (cache, trust,
+    verify or check only, profile) serves any number of programs; the
+    CLI builds one per invocation, the daemon keeps one per method."""
 
     def __init__(
         self,
@@ -172,58 +222,57 @@ class Pipeline:
         label: str,
         source: str,
         program: Optional[ast.Program] = None,
+        session: Optional[ProgramSession] = None,
     ) -> ProgramResult:
-        """Check (and verify) every function of one program."""
+        """Check (and verify) every function of one program.  ``program``
+        is ``source`` already parsed; ``session`` is the caller's warm
+        :class:`ProgramSession` for ``source``, with its own profile.
+        Without either, the program is parsed and elaborated here."""
         tr = tel.tracer()
-        try:
-            if not tr.enabled:
-                return self._run(label, source, program)
-            # Under the ambient span when there is one (the daemon's
-            # request span, the facade's api.* span), a new root otherwise.
-            with tr.span(
-                "pipeline.program", cat="pipeline", args={"label": label}
-            ):
-                return self._run(label, source, program)
-        except RecursionError:
-            # Parsing, checking or verifying nested deeper than Python's
-            # recursion limit: a rejection, like any other program error.
-            return ProgramResult(
-                label,
-                ok=False,
-                error=ErrorInfo.from_exception("check", NestingTooDeep()),
-            )
+        if not tr.enabled:
+            return self._run(label, source, program, session)
+        # Under the ambient span when there is one (the daemon's request
+        # span, the facade's api.* span), a new root otherwise.
+        with tr.span("pipeline.program", cat="pipeline", args={"label": label}):
+            return self._run(label, source, program, session)
 
     def _run(
         self,
         label: str,
         source: str,
-        program: Optional[ast.Program] = None,
+        program: Optional[ast.Program],
+        session: Optional[ProgramSession],
     ) -> ProgramResult:
         t0 = time.perf_counter()
+        if session is None:
+            session, error = open_session(source, program, self.profile)
+            if session is None:
+                return ProgramResult(
+                    label,
+                    ok=False,
+                    error=error,
+                    wall_ms=(time.perf_counter() - t0) * 1000.0,
+                )
         reg = tel.registry()
-        try:
-            session = ProgramSession(
-                source, program=program, profile=self.profile
-            )
-        except TypeError_ as exc:
-            # Program-level validation failure (duplicate names, malformed
-            # annotations) — same rejection the serial Checker raises.
-            return ProgramResult(
-                label,
-                ok=False,
-                error=ErrorInfo.from_exception("check", exc),
-                wall_ms=(time.perf_counter() - t0) * 1000.0,
-            )
         names = session.function_names()
         done: Dict[str, FunctionResult] = {}
         try:
             certs = self._derive(session, names, done, reg)
         except _Failed as failed:
-            result = ProgramResult(label, ok=False, error=failed.error)
+            result = ProgramResult(
+                label,
+                ok=False,
+                error=failed.error,
+                declared=len(names),
+                failed_nodes=failed.nodes,
+            )
             self._observe_times(names, done, reg, stop=failed.name)
         else:
             result = ProgramResult(
-                label, ok=True, functions=[done[name] for name in names]
+                label,
+                ok=True,
+                functions=[done[name] for name in names],
+                declared=len(names),
             )
             self._observe_times(names, done, reg)
             self._store(session, certs, done)
@@ -260,70 +309,70 @@ class Pipeline:
         first type error — the verifier must not run for a program the
         checker rejected), then verify each fresh derivation or replay
         each stored one."""
-        # Phase 0 — consult the cache.
-        stored: Dict[str, str] = {}  # name -> certificate to replay
-        for name in names:
-            status, entry = ("miss", None)
-            if self.cache is not None:
-                status, entry = self.cache.get(session.function_key(name))
-            if status != "hit" or entry is None:
-                # "stale" is re-derived like a miss; storing the fresh
-                # certificate evicts the unusable entry.
-                continue
-            if self.trust_cache or not self.verify:
-                done[name] = FunctionResult(
-                    name,
-                    ok=True,
-                    cached="trusted" if self.trust_cache else "hit",
-                    nodes=entry.nodes,
-                    verified=entry.verified if self.trust_cache else 0,
-                )
-            else:
-                stored[name] = entry.cert
-
-        # Phase 1 — check.
-        fresh: Dict[str, FuncDerivation] = {}
-        with _maybe_span(reg, "check.program"):
+        name: Optional[str] = None  # the function in hand
+        nodes = 0  # the derivation's size, once every function is checked
+        try:
+            # Phase 0 — consult the cache.
+            stored: Dict[str, CacheEntry] = {}  # certificates to replay
             for name in names:
-                if name in done or name in stored:
+                status, entry = ("miss", None)
+                if self.cache is not None:
+                    status, entry = self.cache.get(session.function_key(name))
+                if status != "hit" or entry is None:
+                    # "stale" is re-derived like a miss; storing the fresh
+                    # certificate evicts the unusable entry.
                     continue
-                t0 = time.perf_counter()
-                try:
-                    fresh[name] = session.check_function(name)
-                except TypeError_ as exc:
-                    raise _Failed(name, ErrorInfo.from_exception("check", exc))
-                done[name] = FunctionResult(
-                    name,
-                    ok=True,
-                    cached="miss",
-                    nodes=fresh[name].body.node_count(),
-                    ms=(time.perf_counter() - t0) * 1000.0,
-                )
-
-        certs: Dict[str, str] = {}
-        if not self.verify:
-            return certs
-
-        # Phase 2 — verify fresh derivations, replay stored ones.
-        with _maybe_span(reg, "verify.program"):
-            for name in names:
-                t0 = time.perf_counter()
-                if name in stored:
-                    fd = self._replay(session, name, stored[name], done)
-                elif name in fresh:
-                    fd = fresh[name]
-                    try:
-                        done[name].verified = session.verify_function(fd)
-                    except VerificationError as exc:
-                        raise _Failed(
-                            name, ErrorInfo.from_exception("verify", exc)
-                        )
+                if self.trust_cache or not self.verify:
+                    done[name] = FunctionResult(
+                        name,
+                        ok=True,
+                        cached="trusted" if self.trust_cache else "hit",
+                        nodes=entry.nodes,
+                        verified=entry.verified if self.trust_cache else 0,
+                    )
                 else:
-                    continue
-                done[name].ms += (time.perf_counter() - t0) * 1000.0
-                if fd is not None and self.cache is not None:
-                    certs[name] = func_derivation_to_json(fd)
-        return certs
+                    stored[name] = entry
+
+            # Phase 1 — check.
+            fresh: Dict[str, FuncDerivation] = {}
+            with _maybe_span(reg, "check.program"):
+                for name in names:
+                    if name in done or name in stored:
+                        continue
+                    t0 = time.perf_counter()
+                    fresh[name] = session.check_function(name)
+                    done[name] = FunctionResult(
+                        name,
+                        ok=True,
+                        cached="miss",
+                        nodes=fresh[name].body.node_count(),
+                        ms=(time.perf_counter() - t0) * 1000.0,
+                    )
+
+            certs: Dict[str, str] = {}
+            if not self.verify:
+                return certs
+            nodes = sum(f.nodes for f in done.values()) + sum(
+                entry.nodes for entry in stored.values()
+            )
+
+            # Phase 2 — verify fresh derivations, replay stored ones.
+            with _maybe_span(reg, "verify.program"):
+                for name in names:
+                    t0 = time.perf_counter()
+                    if name in stored:
+                        fd = self._replay(session, name, stored[name].cert, done)
+                    elif name in fresh:
+                        fd = fresh[name]
+                        done[name].verified = session.verify_function(fd)
+                    else:
+                        continue
+                    done[name].ms += (time.perf_counter() - t0) * 1000.0
+                    if fd is not None and self.cache is not None:
+                        certs[name] = func_derivation_to_json(fd)
+            return certs
+        except PROGRAM_ERRORS as exc:
+            raise _Failed(name, ErrorInfo.from_exception(exc), nodes)
 
     def _replay(
         self,
@@ -347,13 +396,8 @@ class Pipeline:
             )
             return None
         # Unusable certificate: self-heal with a fresh derivation.
-        try:
-            fd = session.check_function(name)
-            verified = session.verify_function(fd)
-        except TypeError_ as exc:
-            raise _Failed(name, ErrorInfo.from_exception("check", exc))
-        except VerificationError as exc:
-            raise _Failed(name, ErrorInfo.from_exception("verify", exc))
+        fd = session.check_function(name)
+        verified = session.verify_function(fd)
         done[name] = FunctionResult(
             name, ok=True, cached="stale", nodes=fd.body.node_count(),
             verified=verified,

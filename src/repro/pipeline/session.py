@@ -1,13 +1,13 @@
 """A parsed/elaborated program shared across the whole check/verify stack.
 
-Before the pipeline, every entry point re-did program-level work per call:
-``verify_source`` parsed the program, the :class:`Checker` elaborated the
-function-type table, and the :class:`Verifier` elaborated the same table
-again.  A :class:`ProgramSession` does each exactly once — parse once per
-file, elaborate once per program — and hands the shared objects to both
-the prover and the verifier, which is what lets the batch runner check
-and verify hundreds of functions one by one without paying the
-program-level costs hundreds of times.
+A :class:`ProgramSession` does the program-level work exactly once —
+parse once per file, elaborate the function-type table once per
+program — and hands the shared objects to both the prover and the
+verifier.  That is what lets :class:`~repro.pipeline.Pipeline` check and
+verify hundreds of functions one by one without paying the
+program-level costs hundreds of times, and what lets warm callers (the
+daemon's session LRU, :class:`repro.api.Session`) pass one session to
+many runs.
 """
 
 from __future__ import annotations

@@ -10,12 +10,12 @@ sharing one content-addressed certificate store (safe because verified
 certificates are immutable and keyed by content — see
 :mod:`repro.pipeline.cache`).
 
-Plumbing follows :mod:`repro.pipeline.worker`: worker entry points are
-importable by name, everything crossing the process boundary is a plain
-picklable dict, and telemetry comes home as exported documents.  Each
-worker speaks over a private duplex pipe, which is what lets the
-acceptor target individual workers — least-loaded dispatch, per-worker
-metrics collection, and an explicit drain sentinel per worker.
+Worker entry points are importable by name, everything crossing the
+process boundary is a plain picklable dict, and telemetry comes home as
+exported documents.  Each worker speaks over a private duplex pipe,
+which is what lets the acceptor target individual workers — least-loaded
+dispatch, per-worker metrics collection, and an explicit drain sentinel
+per worker.
 
 Robustness:
 

@@ -11,9 +11,13 @@ state that makes a long-running process worth having:
   ``(method, filename, sha256(source))``, so the warm path is a dict
   lookup returning the exact dict a cold call produced (byte-identity
   with :mod:`repro.api` is structural, not approximate);
-* **the PR-4 certificate cache** — with ``cache_dir`` set, ``verify`` and
-  ``batch`` route through a resident :class:`~repro.pipeline.Pipeline`
-  so unchanged functions replay stored certificates instead of re-proving.
+* **two resident pipelines** — ``check`` on a checking
+  :class:`~repro.pipeline.Pipeline`, ``verify`` and ``batch`` on a
+  verifying one, both built from the same cache settings and both fed
+  the warm session, through :func:`repro.api.verdict` like the facade.
+  With ``cache_dir`` set, unchanged functions replay stored certificates
+  instead of re-proving (``check`` reads the store, as ``repro check
+  --cache DIR`` does; ``verify`` also fills it).
 
 Results are plain dicts: exactly ``repro.api.*Result.to_dict()``.
 Protocol-style validation failures raise :class:`~.protocol.RpcError`
@@ -83,17 +87,15 @@ class Service:
         # request/memo counter shadows that existed because it wasn't.
         ambient = tel.registry()
         self.registry = ambient if ambient.enabled else tel.Registry(enabled=True)
-        self._pipeline = None
-        self._pipeline_lock = threading.Lock()
-        if cache_dir is not None:
-            from ..pipeline import Pipeline
-
-            self._pipeline = Pipeline(
-                cache_dir=cache_dir,
-                trust_cache=trust_cache,
-                cache_entries=cache_entries,
-                cache_bytes=cache_bytes,
-            )
+        self._cache_config = dict(
+            cache_dir=cache_dir,
+            trust_cache=trust_cache,
+            cache_entries=cache_entries,
+            cache_bytes=cache_bytes,
+        )
+        # method -> Pipeline, built on first use so that starting the
+        # daemon does not pay for importing the pipeline.
+        self._pipelines: Dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -130,36 +132,25 @@ class Service:
         return {"pong": True, "rpc": RPC_SCHEMA, "version": __version__}
 
     def check(self, source: str, filename: str) -> Dict[str, Any]:
-        key = ("check", filename, _sha(source))
+        return self._verdict("check", source, filename)
+
+    def verify(self, source: str, filename: str) -> Dict[str, Any]:
+        return self._verdict("verify", source, filename)
+
+    def _verdict(self, method: str, source: str, filename: str) -> Dict[str, Any]:
+        key = (method, filename, _sha(source))
         hit = self._memo_get(key)
         if hit is not None:
             return hit
+        pipeline = self._pipeline(method)
         session, lock = self._session(source)
         if lock is not None:
             with lock:
-                result = api.check(source, filename=filename, session=session)
+                result = api.verdict(
+                    pipeline, source, filename=filename, session=session
+                )
         else:
-            result = api.check(source, filename=filename)
-        return self._memo_put(key, result.to_dict())
-
-    def verify(self, source: str, filename: str) -> Dict[str, Any]:
-        key = ("verify", filename, _sha(source))
-        hit = self._memo_get(key)
-        if hit is not None:
-            return hit
-        if self._pipeline is not None:
-            with self._pipeline_lock:
-                program_result = self._pipeline.run(filename, source)
-            result = _verify_from_program_result(program_result, filename)
-        else:
-            session, lock = self._session(source)
-            if lock is not None:
-                with lock:
-                    result = api.verify(
-                        source, filename=filename, session=session
-                    )
-            else:
-                result = api.verify(source, filename=filename)
+            result = api.verdict(pipeline, source, filename=filename)
         return self._memo_put(key, result.to_dict())
 
     def run(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -252,18 +243,30 @@ class Service:
             }
 
     def close(self) -> None:
-        if self._pipeline is not None:
-            self._pipeline.close()
+        for pipeline in self._pipelines.values():
+            pipeline.close()
 
     # ------------------------------------------------------------------
     # Warm state
     # ------------------------------------------------------------------
 
+    def _pipeline(self, method: str):
+        """The checking (``check``) or verifying (``verify``) pipeline;
+        both share the cache settings."""
+        pipeline = self._pipelines.get(method)
+        if pipeline is None:
+            from ..pipeline import Pipeline
+
+            pipeline = Pipeline(verify=method == "verify", **self._cache_config)
+            # A racing thread may have built one first; keep the winner.
+            pipeline = self._pipelines.setdefault(method, pipeline)
+        return pipeline
+
     def _session(self, source: str):
         """(session, lock) — or (None, None) when the program does not
-        even construct a session (parse/elaboration failure); the facade
-        then recomputes and reports the diagnostic itself."""
-        from ..pipeline.session import ProgramSession
+        even construct a session (parse/elaboration failure); the
+        pipeline then recomputes and reports the diagnostic itself."""
+        from ..pipeline import open_session
 
         key = _sha(source)
         with self._lock:
@@ -271,9 +274,8 @@ class Service:
             if entry is not None:
                 self._sessions.move_to_end(key)
                 return entry
-        try:
-            session = ProgramSession(source)
-        except Exception:
+        session, _ = open_session(source)
+        if session is None:
             return None, None
         entry = (session, threading.Lock())
         with self._lock:
@@ -303,23 +305,6 @@ class Service:
                 self._memo.popitem(last=False)
             self._memo[key] = result
         return result
-
-
-def _verify_from_program_result(program_result, filename: str):
-    """Convert a pipeline :class:`ProgramResult` into the facade's
-    :class:`~repro.api.VerifyResult` (same numbers as the serial path —
-    the PR-4 determinism contract)."""
-    if program_result.ok:
-        return api.VerifyResult(
-            ok=True,
-            functions=len(program_result.functions),
-            nodes=program_result.nodes,
-            verified=program_result.verified,
-        )
-    return api.VerifyResult(
-        ok=False,
-        diagnostics=[program_result.error.to_diagnostic(filename)],
-    )
 
 
 def _sha(source: str) -> str:

@@ -920,21 +920,3 @@ def _certificate_bytes(fd: FuncDerivation) -> int:
 
 def _region(ident: Optional[int]) -> Optional[Region]:
     return None if ident is None else Region(ident)
-
-
-def verify_source(source: str, program: Optional[ast.Program] = None) -> int:
-    """Check and then independently verify a program; returns node count.
-
-    Pass an already parsed ``program`` to skip the re-parse; either way the
-    function-type table is elaborated exactly once and shared between the
-    checker and the verifier (batch callers go further and reuse
-    :class:`repro.pipeline.ProgramSession` across both phases).
-    """
-    from ..core.checker import Checker
-    from ..lang import parse_program
-
-    if program is None:
-        program = parse_program(source)
-    checker = Checker(program)
-    derivation = checker.check_program()
-    return Verifier(program, functypes=checker.functypes).verify_program(derivation)

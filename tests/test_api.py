@@ -90,6 +90,20 @@ class TestVerify:
             == result.to_dict()
         )
 
+    def test_accepts_preparsed_program(self, monkeypatch):
+        from repro.lang import parse_program
+
+        program = parse_program(GOOD)
+        expected = api.verify(GOOD).to_dict()
+
+        def no_reparse(source):
+            raise AssertionError("the preparsed program was parsed again")
+
+        monkeypatch.setattr("repro.pipeline.session.parse_program", no_reparse)
+        result = api.verify(GOOD, program=program)
+        assert result.ok and result.verified > 0
+        assert result.to_dict() == expected
+
 
 class TestRun:
     def test_ok(self):

@@ -348,6 +348,31 @@ class TestExitCodes:
         assert excinfo.value.code == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--threads", "0"],
+            ["serve", "--max-queue", "0"],
+            ["serve", "--timeout", "0"],
+            ["serve", "--timeout", "-1.5"],
+            ["serve", "--max-frame", "0"],
+            ["serve", "--max-steps", "-5"],
+            ["serve", "--cache-entries", "0"],
+            ["serve", "--cache-bytes", "0"],
+            ["run", "F", "f", "1", "--max-steps", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
+    )
+    def test_limit_of_zero_or_less_is_sixty_four(self, argv, capsys):
+        # A limit that would refuse all work is refused at parse time,
+        # before any socket, thread or program exists.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 64
+        assert f"argument {argv[-2]}: must be above 0" in capsys.readouterr().err
+
 
 class TestConsoleScript:
     def test_fcl_entry_point(self):

@@ -21,13 +21,14 @@ from repro.lang import parse_program
 from repro.pipeline import (
     CacheEntry,
     CertCache,
+    ErrorInfo,
     Pipeline,
     ProgramFingerprints,
     ProgramSession,
     callees_of,
     discover,
 )
-from repro.verifier import Verifier
+from repro.verifier import VerificationError, Verifier
 
 CORPUS_DIR = Path(__file__).parent.parent / "src" / "repro" / "corpus"
 
@@ -289,6 +290,50 @@ class TestPlainEntryPointParity:
                 assert _counters(reg) == counters, case.name
 
 
+def _raised(source):
+    try:
+        Checker(parse_program(source)).check_program()
+    except Exception as exc:
+        return exc
+    raise AssertionError("expected a rejection")
+
+
+class TestErrorRecords:
+    """One rule turns a program error into an ``ErrorInfo``, and its
+    diagnostic is exactly what ``Diagnostic.from_exception`` gives."""
+
+    @pytest.mark.parametrize(
+        "exc, stage, code",
+        [
+            (_raised("def f() : int {\n  1 +\n}\n"), "check", "ParseError"),
+            (_raised("def f() : int { 1 $ 2 }\n"), "check", "LexError"),
+            (_raised(NEGATIVE_CASES[0].source), "check", None),
+            (VerificationError("3:4: replay failed"), "verify", "VerificationError"),
+        ],
+        ids=["parse", "lex", "type", "verify"],
+    )
+    def test_record_is_the_diagnostic(self, exc, stage, code):
+        from repro.api import Diagnostic
+
+        error = ErrorInfo.from_exception(exc)
+        assert error.stage == stage
+        assert code is None or error.cls == code
+        expected = Diagnostic.from_exception(exc, file="f.fcl")
+        assert error.to_diagnostic("f.fcl") == expected
+        # str() of these embeds "line:col: "; the record strips it.
+        assert not expected.message[0].isdigit()
+
+    def test_recursion_error_is_nesting_too_deep(self):
+        from repro.api import Diagnostic
+        from repro.core.errors import NestingTooDeep
+
+        error = ErrorInfo.from_exception(RecursionError())
+        assert (error.stage, error.cls) == ("check", "NestingTooDeep")
+        assert error.to_diagnostic() == Diagnostic.from_exception(
+            NestingTooDeep()
+        )
+
+
 class TestBatchCli:
     def test_cold_and_warm_stdout_identical(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
@@ -325,6 +370,22 @@ class TestBatchCli:
         out = capsys.readouterr().out
         assert "REJECTED" in out
         assert "batch: 0/1 programs OK" in out
+
+    def test_unparseable_and_unlexable_files_are_rejections(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "a_parse.fcl").write_text("def f() : int {\n  1 +\n}\n")
+        (tmp_path / "b_lex.fcl").write_text("def f() : int { 1 $ 2 }\n")
+        (tmp_path / "c_good.fcl").write_text(SOURCE)
+        assert main(["batch", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0].startswith(f"{tmp_path / 'a_parse.fcl'}: REJECTED — ParseError: ")
+        assert lines[1].startswith(f"{tmp_path / 'b_lex.fcl'}: REJECTED — LexError: ")
+        assert lines[2].startswith(f"{tmp_path / 'c_good.fcl'}: OK — ")
+        assert lines[3].startswith("batch: 1/3 programs OK")
+        assert len(lines) == 4
+        assert "Traceback" not in captured.err
 
     def test_trust_cache_requires_cache(self):
         with pytest.raises(SystemExit):
@@ -397,9 +458,3 @@ class TestSessionSharing:
     def test_checker_and_verifier_share_the_functype_table(self):
         session = ProgramSession(SOURCE)
         assert session.verifier.functypes is session.checker.functypes
-
-    def test_verify_source_accepts_preparsed_program(self):
-        from repro.verifier.verifier import verify_source
-
-        program = parse_program(SOURCE)
-        assert verify_source(SOURCE, program=program) > 0

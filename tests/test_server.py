@@ -146,28 +146,56 @@ class TestParity:
                 assert not tight.ok
                 assert tight.diagnostics[0].code == "StepLimitExceeded"
 
+    #: Every negative-corpus case plus a source that does not parse and
+    #: one that does not lex, next to two good programs.
+    CACHE_PARITY = [(name, load_source(name)) for name in ("sll", "dll")] + [
+        (f"neg-{case.name}", case.source) for case in NEGATIVE_CASES
+    ] + [
+        ("parse-error", "def f() : int {\n  1 +\n}\n"),
+        ("lex-error", "def f() : int { 1 $ 2 }\n"),
+    ]
+
     def test_cache_backed_verify_parity(self, tmp_path):
+        # A second server over the same populated cache must agree too.
+        for attempt in ("cold", "warm"):
+            service = Service(cache_dir=str(tmp_path / "cache"))
+            with ServerThread(_unix_config(), service=service) as handle:
+                with Client(handle.address) as client:
+                    for name, source in self.CACHE_PARITY:
+                        local = api.verify(source, filename=name).to_dict()
+                        remote = client.call(
+                            "verify", {"source": source, "filename": name}
+                        )
+                        assert canon(remote) == canon(local), (attempt, name)
+                    stats = client.stats()
+            assert stats["requests"].get("server.worker.crashes", 0) == 0
+            assert "server.requests.verify.internal" not in stats["requests"]
+
+    def test_cache_backed_check_and_batch(self, tmp_path):
+        bad_name, bad = self.CACHE_PARITY[-1]
         service = Service(cache_dir=str(tmp_path / "cache"))
         with ServerThread(_unix_config(), service=service) as handle:
             with Client(handle.address) as client:
-                for name in ("sll", "dll"):
-                    source = load_source(name)
-                    local = api.verify(source, filename=name).to_dict()
-                    cold = client.call(
-                        "verify", {"source": source, "filename": name}
+                for name, source in self.CACHE_PARITY:
+                    local = api.check(source, filename=name).to_dict()
+                    remote = client.call(
+                        "check", {"source": source, "filename": name}
                     )
-                    assert canon(cold) == canon(local), name
-        # A second server over the same populated cache must agree too.
-        service2 = Service(cache_dir=str(tmp_path / "cache"))
-        with ServerThread(_unix_config(), service=service2) as handle:
-            with Client(handle.address) as client:
-                for name in ("sll", "dll"):
-                    source = load_source(name)
-                    warm = client.call(
-                        "verify", {"source": source, "filename": name}
-                    )
-                    local = api.verify(source, filename=name).to_dict()
-                    assert canon(warm) == canon(local), name
+                    assert canon(remote) == canon(local), name
+                reply = client.batch(
+                    [("sll", load_source("sll")), (bad_name, bad),
+                     ("good", GOOD)]
+                )
+                stats = client.stats()
+        assert reply["ok"] is False
+        by_label = {e["label"]: e["result"] for e in reply["programs"]}
+        assert [label for label, r in by_label.items() if not r["ok"]] == [
+            bad_name
+        ]
+        assert canon(by_label[bad_name]) == canon(
+            api.verify(bad, filename=bad_name).to_dict()
+        )
+        assert stats["requests"].get("server.worker.crashes", 0) == 0
 
     def test_memo_hit_returns_same_payload(self):
         with ServerThread(_unix_config()) as handle:
