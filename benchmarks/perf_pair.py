@@ -13,8 +13,9 @@ runner is:
   order parent, change, change, parent;
 * ``python3 benchmarks/run_experiments.py --only E2,E5`` runs in the same
   order, and each experiment's ``experiment.wall_ms`` is read from its
-  metrics document.  E2 (corpus check + verify) and E5 (tree-interpreter
-  guarded/erased runs) time what perfbench does not.
+  metrics document.  E2 (corpus check + verify) and E5 (guarded and
+  erased runs on the fig 7 small-step machine) time what perfbench does
+  not.
 
 Each side keeps the better of its two values per metric.  The gate fails
 (exit 1) when a change-side value is worse than the parent's by more than

@@ -214,12 +214,11 @@ def e8_semantics_agreement():
     from repro.corpus import load_program
     from repro.runtime.heap import Heap
     from repro.runtime.machine import run_function
-    from repro.runtime.smallstep import run_function_smallstep
 
     print("=" * 70)
-    print("E8 — ablation: big-step vs fig 7 small-step machine agreement")
+    print("E8 — ablation: fig 7 small-step machine vs bytecode engine agreement")
     print("=" * 70)
-    print(f"{'workload':>16s} {'big (ms)':>9s} {'small (ms)':>11s} "
+    print(f"{'workload':>16s} {'tree (ms)':>10s} {'ir (ms)':>8s} "
           f"{'result/traffic':>15s}")
     for label, corpus, maker, n, fn in (
         ("sll sum", "sll", "make_list", 120, "sum"),
@@ -228,19 +227,23 @@ def e8_semantics_agreement():
     ):
         program = load_program(corpus)
         stats = {}
-        for name, runner in (("big", run_function), ("small", run_function_smallstep)):
+        for engine in ("tree", "ir"):
             heap = Heap()
             t0 = time.perf_counter()
             if corpus == "rbtree":
-                tree, _ = runner(program, "build_tree", [n, 5], heap=heap)
-                result, _ = runner(program, "tree_size", [tree], heap=heap)
+                tree, _ = run_function(
+                    program, "build_tree", [n, 5], heap=heap, engine=engine
+                )
+                result, _ = run_function(
+                    program, "tree_size", [tree], heap=heap, engine=engine
+                )
             else:
-                lst, _ = runner(program, maker, [n], heap=heap)
-                result, _ = runner(program, fn, [lst], heap=heap)
-            stats[name] = ((time.perf_counter() - t0) * 1000, result,
-                           heap.reads, heap.writes)
-        agree = (stats["big"][1:] == stats["small"][1:])
-        print(f"{label:>16s} {stats['big'][0]:9.2f} {stats['small'][0]:11.2f} "
+                lst, _ = run_function(program, maker, [n], heap=heap, engine=engine)
+                result, _ = run_function(program, fn, [lst], heap=heap, engine=engine)
+            stats[engine] = ((time.perf_counter() - t0) * 1000, result,
+                             heap.reads, heap.writes)
+        agree = (stats["tree"][1:] == stats["ir"][1:])
+        print(f"{label:>16s} {stats['tree'][0]:10.2f} {stats['ir'][0]:8.2f} "
               f"{'identical' if agree else 'DIVERGED':>15s}")
         assert agree
     print()

@@ -1,9 +1,10 @@
-"""Implementation comparison: big-step generator interpreter vs the fig 7
-small-step machine, plus step-throughput of the small-step semantics.
+"""Implementation comparison: the fig 7 small-step machine (``tree``)
+against the bytecode engine (``ir``), plus the small-step machine's step
+throughput.
 
-Not a paper experiment per se; an engineering ablation showing both
-runtimes agree while trading convenience (generators) against fidelity and
-stack behaviour (explicit continuations, constant Python stack).
+Not a paper experiment per se; an engineering ablation showing the spec
+machine and the fast path agree on results while trading fidelity (one
+expression per step, explicit continuations) against speed.
 """
 
 import pytest
@@ -11,53 +12,43 @@ import pytest
 from repro.corpus import load_program
 from repro.runtime.heap import Heap
 from repro.runtime.machine import run_function
-from repro.runtime.smallstep import run_function_smallstep
-
-WORKLOADS = {
-    "sll-sum": ("sll", "make_list", "sum", 120),
-    "rbtree-build": ("rbtree", None, None, 0),
-}
 
 
-@pytest.mark.parametrize("semantics", ["bigstep", "smallstep"])
-def test_list_traversal(benchmark, semantics):
+@pytest.mark.parametrize("engine", ["tree", "ir"])
+def test_list_traversal(benchmark, engine):
     program = load_program("sll")
-    runner = run_function if semantics == "bigstep" else run_function_smallstep
 
     def run():
         heap = Heap()
-        lst, _ = runner(program, "make_list", [100], heap=heap)
-        return runner(program, "sum", [lst], heap=heap)[0]
+        lst, _ = run_function(program, "make_list", [100], heap=heap, engine=engine)
+        return run_function(program, "sum", [lst], heap=heap, engine=engine)[0]
 
     assert benchmark(run) == 100 * 101 // 2
 
 
-@pytest.mark.parametrize("semantics", ["bigstep", "smallstep"])
-def test_rbtree_build(benchmark, semantics):
+@pytest.mark.parametrize("engine", ["tree", "ir"])
+def test_rbtree_build(benchmark, engine):
     program = load_program("rbtree")
-    runner = run_function if semantics == "bigstep" else run_function_smallstep
 
     def run():
         heap = Heap()
-        tree, _ = runner(program, "build_tree", [80, 5], heap=heap)
-        return runner(program, "tree_size", [tree], heap=heap)[0]
+        tree, _ = run_function(program, "build_tree", [80, 5], heap=heap, engine=engine)
+        return run_function(program, "tree_size", [tree], heap=heap, engine=engine)[0]
 
     assert benchmark(run) > 0
 
 
 def test_step_throughput(benchmark):
-    """Raw small-step transitions per second (fib workload)."""
+    """Raw small-step evaluation steps per second (fib workload)."""
     from repro.lang import parse_program
-    from repro.runtime.smallstep import Config
 
     program = parse_program(
         "def fib(n : int) : int { if (n < 2) { n } else { fib(n-1) + fib(n-2) } }"
     )
 
     def run():
-        config = Config(program, Heap(), set(), "fib", [15])
-        result = config.run()
-        return result, config.steps
+        result, config = run_function(program, "fib", [15])
+        return result, config.stats.steps
 
     result, steps = benchmark(run)
     assert result == 610

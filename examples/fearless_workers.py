@@ -8,14 +8,13 @@ result records.  No locks, no copies, no races: each tree's region simply
 changes hands.
 
 Runs on the *small-step* machine (the fig 7 semantics with an explicit
-continuation stack), interleaving all threads one transition at a time
-while auditing reservation disjointness.
+continuation stack), interleaving all threads one expression at a time.
 """
 
 from repro import Checker, parse_program
 from repro.analysis import check_refcounts
 from repro.corpus import load_source
-from repro.runtime.smallstep import SmallStepMachine
+from repro.runtime.machine import Machine
 
 WORKERS = 4
 KEYS_PER_TREE = 40
@@ -74,21 +73,21 @@ def main() -> None:
         "trees may cross thread boundaries freely"
     )
 
-    machine = SmallStepMachine(program, seed=7)
+    machine = Machine(program, seed=7)
     machine.spawn("coordinator", [WORKERS, KEYS_PER_TREE])
     for _ in range(WORKERS):
         machine.spawn("worker", [KEYS_PER_TREE])
     collector = machine.spawn("collector", [WORKERS])
     machine.run()
 
-    total_steps = sum(c.steps for c in machine.configs)
+    total_steps = sum(t.interp.stats.steps for t in machine.threads)
     print(
         f"{WORKERS} workers each received a {KEYS_PER_TREE}-key tree; "
         f"collector saw {collector.result} keys total "
         f"(expected {WORKERS * KEYS_PER_TREE})"
     )
     print(
-        f"{total_steps} small-step transitions, reservations disjoint: "
+        f"{total_steps} small-step evaluation steps, reservations disjoint: "
         f"{machine.reservations_disjoint()}"
     )
     check_refcounts(machine.heap)

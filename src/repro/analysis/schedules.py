@@ -19,18 +19,21 @@ instances of the corpus pipelines this *proves* schedule-independence
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..lang import ast
 from ..runtime.heap import Heap
-from ..runtime.machine import ReservationViolation
-from ..runtime.smallstep import (
+from ..runtime.machine import (
     BLOCKED_RECV,
     BLOCKED_SEND,
     DONE,
-    RUNNING,
-    Config,
+    EV_SEND,
+    READY,
+    ReservationViolation,
+    Thread,
 )
+from ..runtime.smallstep import Config
+from ..runtime.values import UNIT
 from .invariants import InvariantViolation, check_refcounts
 
 #: A schedule is a sequence of (sender index, receiver index) decisions.
@@ -61,23 +64,29 @@ class ExplorationReport:
         return not self.violations and len(self.distinct_results()) <= 1
 
 
-def _run_until_blocked(configs: Sequence[Config]) -> None:
-    for config in configs:
-        while config.status == RUNNING:
-            config.step()
-
-
-def _enabled_pairings(configs: Sequence[Config]) -> List[Decision]:
-    out = []
-    for si, sender in enumerate(configs):
-        if sender.status != BLOCKED_SEND:
+def _run_until_blocked(threads: Sequence[Thread]) -> None:
+    """Advance every ready thread to its next send/recv or to its end
+    (its configuration is not preemptive, so it yields nothing else)."""
+    for thread in threads:
+        if thread.state != READY:
             continue
-        struct = sender.pending_send[0]
-        for ri, receiver in enumerate(configs):
-            if (
-                receiver.status == BLOCKED_RECV
-                and receiver.pending_recv_struct == struct
-            ):
+        value, thread.inbox = thread.inbox, None
+        try:
+            thread.pending = thread.gen.send(value)
+        except StopIteration as stop:
+            thread.state, thread.result = DONE, stop.value
+            continue
+        thread.state = BLOCKED_SEND if thread.pending[0] == EV_SEND else BLOCKED_RECV
+
+
+def _enabled_pairings(threads: Sequence[Thread]) -> List[Decision]:
+    out = []
+    for si, sender in enumerate(threads):
+        if sender.state != BLOCKED_SEND:
+            continue
+        struct = sender.pending[1]
+        for ri, receiver in enumerate(threads):
+            if receiver.state == BLOCKED_RECV and receiver.pending[1] == struct:
                 out.append((si, ri))
     return out
 
@@ -86,31 +95,35 @@ def _replay(
     program: ast.Program,
     spawns: Sequence[Tuple[str, Sequence[object]]],
     decisions: Sequence[Decision],
-) -> Tuple[List[Config], Heap]:
+) -> Tuple[List[Thread], Heap]:
     """Deterministically re-execute a prefix of rendezvous decisions."""
     heap = Heap()
-    configs = [
-        Config(program, heap, set(), func, list(args)) for func, args in spawns
-    ]
-    _run_until_blocked(configs)
+    threads = []
+    for ident, (func, args) in enumerate(spawns):
+        config = Config(program, heap, set())
+        threads.append(Thread(ident, config, config.call(func, list(args))))
+    _run_until_blocked(threads)
     for sender_index, receiver_index in decisions:
-        sender = configs[sender_index]
-        receiver = configs[receiver_index]
-        assert sender.status == BLOCKED_SEND
-        assert receiver.status == BLOCKED_RECV
-        _struct, root, live = sender.pending_send
-        sender.complete_send()
-        receiver.complete_recv(root, live)
-        _run_until_blocked(configs)
-    return configs, heap
+        sender = threads[sender_index]
+        receiver = threads[receiver_index]
+        assert sender.state == BLOCKED_SEND
+        assert receiver.state == BLOCKED_RECV
+        _kind, _struct, root, live = sender.pending
+        # EC3 (fig 15): the live set moves from sender to receiver.
+        sender.reservation.difference_update(live)
+        receiver.reservation.update(live)
+        for thread, value in ((sender, UNIT), (receiver, root)):
+            thread.state, thread.pending, thread.inbox = READY, None, value
+        _run_until_blocked(threads)
+    return threads, heap
 
 
-def _audit(configs: Sequence[Config], heap: Heap) -> None:
+def _audit(threads: Sequence[Thread], heap: Heap) -> None:
     seen: Set = set()
-    for config in configs:
-        if seen & config.reservation:
+    for thread in threads:
+        if seen & thread.reservation:
             raise InvariantViolation("reservations overlap")
-        seen |= config.reservation
+        seen |= thread.reservation
     check_refcounts(heap)
 
 
@@ -134,21 +147,18 @@ def explore_all_schedules(
             report.truncated = True
             return
         try:
-            configs, heap = _replay(program, spawns, decisions)
-            _audit(configs, heap)
+            threads, heap = _replay(program, spawns, decisions)
+            _audit(threads, heap)
         except (ReservationViolation, InvariantViolation) as exc:
             report.violations.append((decisions, str(exc)))
             return
-        options = _enabled_pairings(configs)
+        options = _enabled_pairings(threads)
         if not options:
-            blocked = any(
-                c.status in (BLOCKED_SEND, BLOCKED_RECV) for c in configs
-            )
             report.outcomes.append(
                 ScheduleOutcome(
                     decisions=decisions,
-                    results=tuple(c.result for c in configs),
-                    deadlocked=blocked,
+                    results=tuple(t.result for t in threads),
+                    deadlocked=any(t.state != DONE for t in threads),
                 )
             )
             return

@@ -447,8 +447,8 @@ def run(
     single-threaded.  ``max_steps`` bounds execution (the server's step
     budget); exceeding it is a ``StepLimitExceeded`` diagnostic.
     ``erased=True`` uses the §3.2 verified-erasure fast path and is only
-    honored when the program was checked.  ``engine`` selects the tree
-    interpreter (``"tree"``, the local default) or the compiled bytecode
+    honored when the program was checked.  ``engine`` selects the fig 7
+    small-step machine (``"tree"``, the local default) or the compiled bytecode
     engine (``"ir"``, see :mod:`repro.ir`).  Note the ``run`` RPC differs:
     a request without an ``engine`` key defaults to ``"ir"`` — warm
     daemons serve from the shared compile cache, and

@@ -268,7 +268,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             tracer.metadata["seed"] = args.seed
     heap = Heap(tracer=tracer)
     # Verified-erasure fast path: the program type-checked, so the
-    # reservation guards are compiled out at interpreter construction.
+    # reservation guards are compiled out at engine construction.
     check_reservations = not (args.no_reservation_checks or args.erased)
     try:
         result, interp = run_function(
@@ -317,7 +317,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             return int(ExitCode.DIVERGENCE)
         if args.engine == "ir":
             # Cross-engine leg: the bytecode run must also match a fresh
-            # guarded tree-interpreter run byte for byte.
+            # guarded small-step run byte for byte.
             tracer3 = Tracer()
             heap3 = Heap(tracer=tracer3)
             try:
@@ -339,7 +339,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             ) != api.render_value(result3, heap3):
                 print(
                     "paranoid: DIVERGENCE — ir engine's observable trace "
-                    "differs from the tree interpreter",
+                    "differs from the small-step machine",
                     file=sys.stderr,
                 )
                 return int(ExitCode.DIVERGENCE)
@@ -1112,15 +1112,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive(int),
         default=None,
         metavar="N",
-        help="abort with a runtime error after N interpreter steps "
+        help="abort with a runtime error after N evaluation steps "
         "(the step budget `repro serve` applies to every run request)",
     )
     p.add_argument(
         "--engine",
         choices=("tree", "ir"),
         default="tree",
-        help="execution engine: the tree-walking interpreter (default) "
-        "or the optimizing bytecode compiler (--engine ir)",
+        help="execution engine: the fig 7 small-step machine (tree, the "
+        "default) or the optimizing bytecode compiler (ir)",
     )
     metrics_flag(p)
     p.set_defaults(func=cmd_run)
@@ -1458,7 +1458,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-steps",
-        type=int,
+        type=_positive(int),
         default=None,
         metavar="N",
         help="step budget to request for `client run`",

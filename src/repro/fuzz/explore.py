@@ -3,7 +3,7 @@
 The smallstep explorer (:mod:`repro.analysis.schedules`) enumerates
 rendezvous pairings over the formal semantics; this module enumerates
 *scheduler decisions* over the production :class:`~repro.runtime.machine.
-Machine` itself, so the object under test is the very interpreter the
+Machine` itself, so the object under test is the very engine the
 fuzzer's other oracles run.  It drives a :class:`~repro.runtime.machine.
 ScriptedScheduler` in probe mode: a run replays a decision prefix and
 raises :class:`~repro.runtime.machine.SchedulePoint` at the first choice
@@ -30,6 +30,7 @@ from ..runtime.machine import (
     SchedulePoint,
     ScriptedScheduler,
 )
+from ..runtime.values import is_loc
 
 #: Outcome kinds, in order of severity.
 OK = "ok"
@@ -73,6 +74,18 @@ class ExplorationResult:
         return seen
 
 
+def thread_results(machine: Machine) -> Dict[int, Any]:
+    """Each finished thread's result, keyed by thread ident.  A location
+    is abstracted to its struct's name: allocation order, and so a
+    location's number, differs from schedule to schedule."""
+    return {
+        t.ident: f"<{machine.heap.obj(t.result).struct.name}>"
+        if is_loc(t.result)
+        else t.result
+        for t in machine.threads
+    }
+
+
 def run_scripted(
     program: ast.Program,
     spawns: List[Tuple[str, List[Any]]],
@@ -94,7 +107,7 @@ def run_scripted(
     for name, args in spawns:
         machine.spawn(name, list(args))
     try:
-        results = machine.run()
+        machine.run()
     except ReservationViolation as exc:
         outcome = ScheduleOutcome(
             tuple(scheduler.taken), VIOLATION, error=str(exc)
@@ -104,7 +117,9 @@ def run_scripted(
             tuple(scheduler.taken), DEADLOCK, error=str(exc)
         )
     else:
-        outcome = ScheduleOutcome(tuple(scheduler.taken), OK, results=results)
+        outcome = ScheduleOutcome(
+            tuple(scheduler.taken), OK, results=thread_results(machine)
+        )
     return scheduler, outcome
 
 

@@ -13,11 +13,13 @@ layers are made to disagree-check each other:
    schedule: ``schedules`` seeded random schedules (alternating the plain
    and fairness-bounded policies) plus bounded-exhaustive enumeration of
    all scheduler decisions for programs of ≤ 3 threads.  All schedules
-   must agree on the result map (pipelines are confluent by construction).
+   must agree on the result map — each thread's result, a location
+   abstracted to its struct's name (pipelines are confluent by
+   construction).
 3. **guarded/erased** — a guarded run and an `--erased` run replayed over
    the *same* schedule must produce byte-identical heap traces and equal
    results (the reservation machinery must be observationally free).
-4. **tree/ir** — the tree-walking interpreter and the compiled bytecode
+4. **tree/ir** — the fig 7 small-step machine and the compiled bytecode
    engine (``--engine ir``), each under the canonical first-option
    schedule, must produce byte-identical heap traces and equal results;
    an additional erased-ir leg (the full optimization tier) must agree on
@@ -50,7 +52,7 @@ from ..runtime.machine import (
 )
 from ..runtime.trace import Tracer
 from ..verifier.verifier import VerificationError, Verifier
-from .explore import enumerate_schedules, run_scripted
+from .explore import enumerate_schedules, thread_results
 from .gen import GenCase
 
 #: Threads at or below this spawn count get bounded-exhaustive schedule
@@ -298,7 +300,7 @@ def check_case(
         return outcome
 
     # Oracle 4: the compiled bytecode engine must be observationally
-    # indistinguishable from the tree interpreter.
+    # indistinguishable from the small-step machine.
     outcome.violation = _engine_oracle(program, case.spawns)
     return outcome
 
@@ -346,15 +348,16 @@ def _run_once(
     for name, args in spawns:
         machine.spawn(name, list(args))
     try:
-        return None, machine.run()
+        machine.run()
     except ReservationViolation as exc:
         return Violation("schedule", str(exc)), None
     except DeadlockError as exc:
         return Violation("deadlock", str(exc)), None
     except MachineError as exc:
         return Violation("runtime-crash", f"{type(exc).__name__}: {exc}"), None
-    except Exception as exc:  # noqa: BLE001 — interpreter crashes are findings
+    except Exception as exc:  # noqa: BLE001 — engine crashes are findings
         return Violation("runtime-crash", f"{type(exc).__name__}: {exc}"), None
+    return None, thread_results(machine)
 
 
 def _erasure_oracle(
@@ -407,7 +410,7 @@ def _erasure_oracle(
 def _engine_oracle(
     program: ast.Program, spawns: List[Tuple[str, List[Any]]]
 ) -> Optional[Violation]:
-    """Tree interpreter vs bytecode engine over the canonical schedule.
+    """Small-step machine vs bytecode engine over the canonical schedule.
 
     Both engines run guarded with a fresh first-option scheduler (the
     canonical schedule is yield-granularity-independent, so the decision

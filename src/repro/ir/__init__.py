@@ -6,7 +6,7 @@ pass list for both tiers: inlining, simplification, DCE, simplification,
 constant pooling, register allocation) → :mod:`repro.ir.bytecode` (flat
 linear bytecode, cached per program and in a shared cross-program LRU)
 → :mod:`repro.ir.engine` (the dispatch loop, protocol-compatible with
-the tree interpreter).
+the small-step machine).
 
 Select it at the surface with ``repro run --engine ir`` (or
 ``engine="ir"`` through :func:`repro.api.run`, the ``run`` RPC — where

@@ -410,7 +410,7 @@ def compile_program(
 
     ``observable`` means a tracer is attached: every load is then a trace
     event, so DCE keeps dead loads even in the full tier and traces stay
-    byte-comparable with the tree interpreter.  Two cache layers: a
+    byte-comparable with the small-step machine.  Two cache layers: a
     per-program dict (same Program object re-run, e.g. fuzz oracles) and
     a shared fingerprint-keyed LRU (distinct Program objects from the same
     source, e.g. serve-fleet requests without a session).

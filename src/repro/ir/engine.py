@@ -1,7 +1,7 @@
 """The bytecode execution engine.
 
 :class:`IREngine` is a drop-in replacement for
-:class:`repro.runtime.machine.Interpreter`: it exposes the same
+:class:`repro.runtime.smallstep.Config`: it exposes the same
 ``call(name, args)`` generator protocol (yielding ``(EV_STEP,)`` /
 ``(EV_SEND, struct, root, live)`` / ``(EV_RECV, tyname)`` and resuming
 with the rendezvous value), the same ``stats``/``reservation`` surface,
@@ -9,7 +9,7 @@ and raises the same exceptions with the same messages — so ``Machine``,
 ``run_function``, schedulers, tracing, and step budgets all work
 unchanged with ``engine="ir"``.
 
-Differences from the tree interpreter, by design:
+Differences from the small-step machine, by design:
 
 * ``stats.steps`` counts bytecode instructions retired, not AST nodes
   visited (budgets are engine-relative).
@@ -85,7 +85,7 @@ class IREngine:
         # Guard erasure happened at lowering: the erased module simply has
         # no check instructions.  A tracer on the heap selects the
         # observable compilation, which keeps every load, so heap-event
-        # traces stay comparable with the tree interpreter.
+        # traces stay comparable with the small-step machine.
         self._module = compile_program(
             program,
             checked=check_reservations,

@@ -1,10 +1,10 @@
 """AST → IR lowering, with guard erasure decided here (not at dispatch).
 
-The lowering mirrors the tree interpreter's evaluation order *exactly* —
+The lowering mirrors the small-step machine's evaluation order *exactly* —
 operand evaluation, `as-loc` coercions, reservation guards, heap reads and
 writes happen in the same sequence — so a checked IR run produces the same
 heap-event trace and the same ``reservation_checks`` count as
-``runtime.machine.Interpreter``, and ``--paranoid`` can byte-compare the
+``runtime.smallstep.Config``, and ``--paranoid`` can byte-compare the
 two engines' traces.
 
 Guard sites replicate fig 7's pervasive checks:

@@ -12,14 +12,14 @@ places only, and neither is a pass of its own:
 * DCE deletes a dead ``load`` only in the full tier with no tracer
   attached.  Every other rewrite keeps each heap event and each
   reservation check where lowering put it, so ``--trace-json`` stays
-  byte-identical with the tree interpreter in both tiers.
+  byte-identical with the small-step machine in both tiers.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..runtime.machine import Interpreter
+from ..runtime.smallstep import binop
 from ..runtime.values import NONE
 from .cfg import liveness, predecessors, remove_unreachable
 from .nodes import BasicBlock, Instr, IRFunction, instr_uses, rewrite_uses
@@ -34,7 +34,7 @@ class IRModule:
         #: Full tier: erased mode (see module doc).
         self.full = full
         #: A tracer is attached: every heap event must be emitted at its
-        #: original position, byte-identical with the tree interpreter.
+        #: original position, byte-identical with the small-step machine.
         self.observable = observable
         self.counters = {
             "inlined_calls": 0,
@@ -288,8 +288,7 @@ class SimplifyPass(Pass):
                 lv, rv = consts[l], consts[r]
                 if type(lv) in _FOLDABLE and type(rv) in _FOLDABLE:
                     try:
-                        return Instr("const", ins.dest,
-                                     Interpreter._binop(bop, lv, rv))
+                        return Instr("const", ins.dest, binop(bop, lv, rv))
                     except Exception:
                         return None  # e.g. division by zero: fold nothing
             return None

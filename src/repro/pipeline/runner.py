@@ -122,8 +122,10 @@ def open_session(
 
 @dataclass
 class FunctionResult:
+    """One function of a program that checked (and, when verifying,
+    verified): a failure empties :attr:`ProgramResult.functions` instead."""
+
     name: str
-    ok: bool
     #: "miss" (freshly derived), "hit" (certificate replayed), "trusted"
     #: (hit under trust_cache — not re-verified), "stale" (an unusable
     #: cache entry forced a fresh derivation).
@@ -131,7 +133,6 @@ class FunctionResult:
     nodes: int = 0
     verified: int = 0
     ms: float = 0.0
-    error: Optional[ErrorInfo] = None
 
 
 @dataclass
@@ -325,7 +326,6 @@ class Pipeline:
                 if self.trust_cache or not self.verify:
                     done[name] = FunctionResult(
                         name,
-                        ok=True,
                         cached="trusted" if self.trust_cache else "hit",
                         nodes=entry.nodes,
                         verified=entry.verified if self.trust_cache else 0,
@@ -343,7 +343,6 @@ class Pipeline:
                     fresh[name] = session.check_function(name)
                     done[name] = FunctionResult(
                         name,
-                        ok=True,
                         cached="miss",
                         nodes=fresh[name].body.node_count(),
                         ms=(time.perf_counter() - t0) * 1000.0,
@@ -391,7 +390,7 @@ class Pipeline:
             pass
         else:
             done[name] = FunctionResult(
-                name, ok=True, cached="hit", nodes=fd.body.node_count(),
+                name, cached="hit", nodes=fd.body.node_count(),
                 verified=verified,
             )
             return None
@@ -399,7 +398,7 @@ class Pipeline:
         fd = session.check_function(name)
         verified = session.verify_function(fd)
         done[name] = FunctionResult(
-            name, ok=True, cached="stale", nodes=fd.body.node_count(),
+            name, cached="stale", nodes=fd.body.node_count(),
             verified=verified,
         )
         return fd

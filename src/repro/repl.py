@@ -34,11 +34,8 @@ from .lang import ast, parse_program
 from .lang.lexer import LexError
 from .lang.parser import ParseError, Parser
 from .runtime.heap import Heap
-from .runtime.machine import (
-    Interpreter,
-    MachineError,
-    ReservationViolation,
-)
+from .runtime.machine import EV_RECV, EV_SEND, MachineError, ReservationViolation
+from .runtime.smallstep import Config, Env
 from .runtime.values import NONE, UNIT, RuntimeValue, is_loc
 
 
@@ -57,7 +54,7 @@ class Session:
         self.supply = RegionSupply()
         self.ctx = StaticContext(self.supply)
         self.heap = Heap()
-        self.interp = Interpreter(self.program, self.heap, reservation=set())
+        self.interp = Config(self.program, self.heap, reservation=set())
         self.env: Dict[str, RuntimeValue] = {}
 
     # -- declarations -------------------------------------------------------
@@ -149,15 +146,13 @@ class Session:
         return fchecker
 
     def _run(self, expr: ast.Expr) -> RuntimeValue:
-        from repro.runtime.machine import Env
-
         env = Env(self.env)
-        gen = self.interp._eval(expr, env)
+        gen = self.interp.evaluate(expr, env)
         self._last_bound = None
         try:
             event = None
             while True:
-                if event is not None and event[0] == "send":
+                if event is not None and event[0] == EV_SEND:
                     # The REPL plays a sink thread: the live set leaves this
                     # session's reservation and is gone.
                     _kind, _struct, _root, live = event
@@ -165,7 +160,7 @@ class Session:
                     event = gen.send(UNIT)
                     continue
                 event = next(gen)
-                if event[0] == "recv":
+                if event[0] == EV_RECV:
                     raise ReplError(
                         "recv needs a multi-threaded Machine; not available "
                         "in the REPL"

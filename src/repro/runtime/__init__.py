@@ -4,25 +4,19 @@ from .disconnect import DisconnectStats, efficient_disconnected, naive_disconnec
 from .heap import Heap, HeapObject
 from .machine import (
     DeadlockError,
-    Interpreter,
     Machine,
     MachineError,
     ReservationViolation,
     Thread,
     run_function,
 )
-from .smallstep import (
-    Config,
-    SmallStepMachine,
-    run_function_smallstep,
-)
+from .smallstep import Config
 from .values import NONE, UNIT, Loc
 
 __all__ = [
     "Heap",
     "HeapObject",
     "Machine",
-    "Interpreter",
     "Thread",
     "run_function",
     "MachineError",
@@ -32,8 +26,6 @@ __all__ = [
     "naive_disconnected",
     "DisconnectStats",
     "Config",
-    "SmallStepMachine",
-    "run_function_smallstep",
     "NONE",
     "UNIT",
     "Loc",

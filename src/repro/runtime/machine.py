@@ -14,10 +14,13 @@ Threads communicate by rendezvous ``send``/``recv`` pairs (fig 15): the
 sender's reachable ``live-set`` moves wholesale from its reservation to the
 receiver's.
 
-The interpreter is a recursive generator so that the scheduler can suspend
-threads at ``send``/``recv`` (and, when ``preemptive``, at every heap
-access) and interleave them arbitrarily — hypothesis drives random
-schedules over it in the race-freedom tests (experiment E7).
+A thread runs on an *engine*: the fig 7 small-step machine
+(:class:`repro.runtime.smallstep.Config`, ``engine="tree"``) or the
+bytecode engine (:class:`repro.ir.engine.IREngine`, ``engine="ir"``).  Both
+are generators that the scheduler suspends at ``send``/``recv`` (and, when
+``preemptive``, at every step) to interleave threads arbitrarily —
+hypothesis drives random schedules over them in the race-freedom tests
+(experiment E7).
 """
 
 from __future__ import annotations
@@ -28,12 +31,12 @@ from typing import Dict, Generator, Iterable, List, Mapping, Optional, Sequence,
 
 from ..lang import ast
 from ..telemetry import registry as _telemetry
-from .disconnect import DisconnectStats, efficient_disconnected, naive_disconnected
+from .disconnect import DisconnectStats
 from .heap import Heap
 from .trace import RECV as TRACE_RECV
 from .trace import SEND as TRACE_SEND
 from .trace import Tracer
-from .values import NONE, UNIT, Loc, RuntimeValue, is_loc
+from .values import UNIT, Loc, RuntimeValue, is_loc
 
 
 class MachineError(Exception):
@@ -54,39 +57,10 @@ class StepLimitExceeded(MachineError):
     the ``repro serve`` per-request budget, or ``repro run --max-steps``)."""
 
 
-# Yield events from the interpreter generator to the scheduler.
+# Yield events from an engine's generator to the scheduler.
 EV_STEP = "step"
 EV_SEND = "send"
 EV_RECV = "recv"
-
-
-class Env:
-    """A function frame: a stack of block scopes."""
-
-    def __init__(self, initial: Optional[Dict[str, RuntimeValue]] = None):
-        self._scopes: List[Dict[str, RuntimeValue]] = [dict(initial or {})]
-
-    def push(self) -> None:
-        self._scopes.append({})
-
-    def pop(self) -> None:
-        self._scopes.pop()
-
-    def bind(self, name: str, value: RuntimeValue) -> None:
-        self._scopes[-1][name] = value
-
-    def lookup(self, name: str) -> RuntimeValue:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                return scope[name]
-        raise MachineError(f"unbound variable {name!r} at run time")
-
-    def assign(self, name: str, value: RuntimeValue) -> None:
-        for scope in reversed(self._scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        raise MachineError(f"assignment to unbound variable {name!r}")
 
 
 @dataclass
@@ -122,283 +96,6 @@ def publish_thread_stats(stats: ThreadStats) -> None:
     tel.inc("machine.disconnect_checks", len(stats.disconnect_checks))
     for dstats in stats.disconnect_checks:
         tel.observe("machine.disconnect.objects_visited", dstats.objects_visited)
-
-
-class Interpreter:
-    """Evaluates FCL expressions for one thread."""
-
-    def __init__(
-        self,
-        program: ast.Program,
-        heap: Heap,
-        reservation: Set[Loc],
-        check_reservations: bool = True,
-        disconnect: str = "efficient",
-        preemptive: bool = False,
-    ):
-        self.program = program
-        self.heap = heap
-        self.reservation = reservation
-        self.check_reservations = check_reservations
-        self.preemptive = preemptive
-        self.stats = ThreadStats()
-        if disconnect == "efficient":
-            self._disconnected = efficient_disconnected
-        elif disconnect == "naive":
-            self._disconnected = naive_disconnected
-        else:
-            raise ValueError(f"unknown disconnect implementation {disconnect!r}")
-        # Verified-erasure fast path (§3.2): for a type-checked program the
-        # reservation checks can never fire, so the guard is chosen ONCE at
-        # construction — erased runs dispatch straight to the identity
-        # function instead of paying a branch per location use.
-        self._guard = self._guard_checked if check_reservations else self._guard_erased
-        tel = _telemetry()
-        if tel.enabled:
-            tel.inc(
-                "machine.guard_mode.checked"
-                if check_reservations
-                else "machine.guard_mode.erased"
-            )
-
-    # -- reservation discipline -------------------------------------------------
-
-    def _guard_checked(self, value: RuntimeValue) -> RuntimeValue:
-        """The dynamic reservation check applied on every location use."""
-        if is_loc(value):
-            self.stats.reservation_checks += 1
-            self.stats.reservation_cost += 1
-            if value not in self.reservation:
-                raise ReservationViolation(
-                    f"access to {value} outside the thread's reservation"
-                )
-        return value
-
-    @staticmethod
-    def _guard_erased(value: RuntimeValue) -> RuntimeValue:
-        """Erased guard: reservation checks compiled out for verified code."""
-        return value
-
-    # -- entry points ----------------------------------------------------------
-
-    def call(
-        self, name: str, args: Iterable[RuntimeValue]
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        fdef = self.program.func(name)
-        args = list(args)
-        if len(args) != len(fdef.params):
-            raise MachineError(
-                f"{name} expects {len(fdef.params)} arguments, got {len(args)}"
-            )
-        env = Env({p.name: self._guard(a) for p, a in zip(fdef.params, args)})
-        result = yield from self._eval(fdef.body, env)
-        return result
-
-    # -- the evaluator ------------------------------------------------------------
-
-    def _eval(
-        self, node: ast.Expr, env: Env
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        self.stats.steps += 1
-        if self.preemptive:
-            yield (EV_STEP,)
-
-        if isinstance(node, ast.IntLit):
-            return node.value
-        if isinstance(node, ast.BoolLit):
-            return node.value
-        if isinstance(node, ast.UnitLit):
-            return UNIT
-        if isinstance(node, ast.NoneLit):
-            return NONE
-        if isinstance(node, ast.VarRef):
-            return self._guard(env.lookup(node.name))
-        if isinstance(node, ast.SomeExpr):
-            return (yield from self._eval(node.inner, env))
-        if isinstance(node, ast.IsNone):
-            value = yield from self._eval(node.inner, env)
-            return value is NONE
-        if isinstance(node, ast.IsSome):
-            value = yield from self._eval(node.inner, env)
-            return value is not NONE
-
-        if isinstance(node, ast.Block):
-            env.push()
-            try:
-                result: RuntimeValue = UNIT
-                for index, entry in enumerate(node.body):
-                    value = yield from self._eval(entry, env)
-                    is_last = index == len(node.body) - 1
-                    if is_last and not isinstance(entry, ast.LetBind):
-                        result = value
-                return result
-            finally:
-                env.pop()
-
-        if isinstance(node, ast.LetBind):
-            value = yield from self._eval(node.init, env)
-            env.bind(node.name, value)
-            return UNIT
-
-        if isinstance(node, ast.LetSome):
-            scrutinee = yield from self._eval(node.scrutinee, env)
-            if scrutinee is NONE:
-                if node.else_block is None:
-                    return UNIT
-                return (yield from self._eval(node.else_block, env))
-            env.push()
-            try:
-                env.bind(node.name, scrutinee)
-                return (yield from self._eval(node.then_block, env))
-            finally:
-                env.pop()
-
-        if isinstance(node, ast.Assign):
-            return (yield from self._eval_assign(node, env))
-
-        if isinstance(node, ast.FieldRef):
-            base = yield from self._eval(node.base, env)
-            loc = self._as_loc(base, node)
-            self._guard(loc)
-            value = self.heap.read_field(loc, node.fieldname)
-            return self._guard(value) if is_loc(value) else value
-
-        if isinstance(node, ast.If):
-            cond = yield from self._eval(node.cond, env)
-            if cond:
-                return (yield from self._eval(node.then_block, env))
-            if node.else_block is not None:
-                return (yield from self._eval(node.else_block, env))
-            return UNIT
-
-        if isinstance(node, ast.While):
-            while True:
-                cond = yield from self._eval(node.cond, env)
-                if not cond:
-                    return UNIT
-                yield from self._eval(node.body, env)
-
-        if isinstance(node, ast.IfDisconnected):
-            left = yield from self._eval(node.left, env)
-            right = yield from self._eval(node.right, env)
-            left_loc = self._as_loc(left, node)
-            right_loc = self._as_loc(right, node)
-            self._guard(left_loc)
-            self._guard(right_loc)
-            disconnected, stats = self._disconnected(self.heap, left_loc, right_loc)
-            self.stats.disconnect_checks.append(stats)
-            if disconnected:
-                return (yield from self._eval(node.then_block, env))
-            if node.else_block is not None:
-                return (yield from self._eval(node.else_block, env))
-            return UNIT
-
-        if isinstance(node, ast.Unop):
-            value = yield from self._eval(node.inner, env)
-            return (not value) if node.op == "!" else -value
-
-        if isinstance(node, ast.Binop):
-            left = yield from self._eval(node.left, env)
-            right = yield from self._eval(node.right, env)
-            return self._binop(node.op, left, right)
-
-        if isinstance(node, ast.New):
-            inits: Dict[str, RuntimeValue] = {}
-            for fieldname, init in node.inits.items():
-                inits[fieldname] = yield from self._eval(init, env)
-            sdef = self.program.struct(node.struct)
-            loc = self.heap.alloc(sdef, inits)
-            self.reservation.add(loc)
-            return loc
-
-        if isinstance(node, ast.Call):
-            args = []
-            for arg in node.args:
-                args.append((yield from self._eval(arg, env)))
-            return (yield from self.call(node.func, args))
-
-        if isinstance(node, ast.Send):
-            value = yield from self._eval(node.value, env)
-            root = self._as_loc(value, node)
-            live = self.heap.live_set(root)
-            if self.check_reservations:
-                # The send containment check walks the whole live set.
-                self.stats.reservation_checks += 1
-                self.stats.reservation_cost += len(live)
-                if not live <= self.reservation:
-                    raise ReservationViolation(
-                        "send: the live set leaks outside the sender's reservation"
-                    )
-            self.stats.sends += 1
-            yield (EV_SEND, self.heap.obj(root).struct.name, root, live)
-            return UNIT
-
-        if isinstance(node, ast.Recv):
-            self.stats.recvs += 1
-            root = yield (EV_RECV, ast.strip_maybe(node.ty).name)
-            return root
-
-        raise MachineError(f"cannot evaluate {type(node).__name__}")
-
-    def _eval_assign(
-        self, node: ast.Assign, env: Env
-    ) -> Generator[Tuple, RuntimeValue, RuntimeValue]:
-        if isinstance(node.target, ast.VarRef):
-            value = yield from self._eval(node.value, env)
-            env.assign(node.target.name, value)
-            return UNIT
-        target: ast.FieldRef = node.target
-        base = yield from self._eval(target.base, env)
-        loc = self._as_loc(base, node)
-        value = yield from self._eval(node.value, env)
-        self._guard(loc)
-        if is_loc(value):
-            self._guard(value)
-        self.heap.write_field(loc, target.fieldname, value)
-        return UNIT
-
-    @staticmethod
-    def _binop(op: str, left: RuntimeValue, right: RuntimeValue) -> RuntimeValue:
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise MachineError("division by zero")
-            return left // right
-        if op == "%":
-            if right == 0:
-                raise MachineError("modulo by zero")
-            return left % right
-        if op == "<":
-            return left < right
-        if op == ">":
-            return left > right
-        if op == "<=":
-            return left <= right
-        if op == ">=":
-            return left >= right
-        if op == "==":
-            return left == right
-        if op == "!=":
-            return left != right
-        if op == "&&":
-            return bool(left) and bool(right)
-        if op == "||":
-            return bool(left) or bool(right)
-        raise MachineError(f"unknown operator {op!r}")
-
-    @staticmethod
-    def _as_loc(value: RuntimeValue, node: ast.Expr) -> Loc:
-        if not is_loc(value):
-            raise MachineError(
-                f"expected an object reference, got {value!r} "
-                f"(did a none reach a non-nullable position?)"
-            )
-        return value
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +232,7 @@ FAILED = "failed"
 
 
 class Thread:
-    def __init__(self, ident: int, interp: Interpreter, gen: Generator):
+    def __init__(self, ident: int, interp, gen: Generator):
         self.ident = ident
         self.interp = interp
         self.gen = gen
@@ -721,7 +418,7 @@ class Machine:
             thread.state = BLOCKED_RECV
             thread.pending = event
             return
-        raise MachineError(f"unknown interpreter event {event!r}")
+        raise MachineError(f"unknown engine event {event!r}")
 
     def _match_rendezvous(self) -> None:
         senders = [t for t in self.threads if t.state == BLOCKED_SEND]
@@ -770,13 +467,15 @@ def _make_engine(
 ):
     """Construct the evaluation engine for one thread.
 
-    ``tree`` is this module's recursive-generator :class:`Interpreter`;
-    ``ir`` compiles the program to bytecode and runs it on
-    :class:`repro.ir.engine.IREngine` (same generator protocol, same
-    exceptions, same trace events).
+    ``tree`` is the fig 7 small-step machine,
+    :class:`repro.runtime.smallstep.Config`; ``ir`` compiles the program
+    to bytecode and runs it on :class:`repro.ir.engine.IREngine` (same
+    generator protocol, same exceptions, same trace events).
     """
     if engine == "tree":
-        return Interpreter(
+        from .smallstep import Config
+
+        return Config(
             program,
             heap,
             reservation,
@@ -811,7 +510,7 @@ def run_function(
     seed: Optional[int] = None,
     max_steps: Optional[int] = None,
     engine: str = "tree",
-) -> Tuple[RuntimeValue, Interpreter]:
+) -> Tuple[RuntimeValue, object]:
     """Run a function to completion on a single thread.
 
     ``send``/``recv`` normally require a :class:`Machine`; with
@@ -824,21 +523,20 @@ def run_function(
     (``machine.seed``) so single- and multi-threaded reproduction
     instructions carry the same fields.
 
-    ``engine`` selects the evaluator: the tree-walking interpreter
-    (default) or the compiled bytecode engine (``"ir"``).  The IR engine
-    enforces ``max_steps`` inside its dispatch loop, so it needs no
-    preemptive yielding for budgets.
+    ``engine`` selects the evaluator: the fig 7 small-step machine
+    (``"tree"``, the default) or the compiled bytecode engine (``"ir"``).
+    The IR engine enforces ``max_steps`` inside its dispatch loop, so it
+    needs no preemptive yielding for budgets.
 
-    Returns (result, interpreter) so callers can inspect the heap,
+    Returns (result, engine) so callers can inspect the heap,
     reservation, and statistics.
     """
     heap = heap if heap is not None else Heap()
     if reservation is None:
         reservation = set(heap.locations())
-    # A step budget needs the tree interpreter to yield control per
+    # A step budget needs the small-step machine to yield control per
     # evaluation step; without one the generator only surfaces at
-    # send/recv, exactly as before (so budget-free runs are bit-for-bit
-    # unchanged).  The IR engine checks its budget internally instead.
+    # send/recv.  The IR engine checks its budget internally instead.
     interp = _make_engine(
         engine,
         program,

@@ -167,7 +167,7 @@ class Service:
         # session LRU plus the shared compile cache make repeat runs hit
         # precompiled modules, and RunResult.engine reports what ran so
         # clients always see the effective choice.  Explicit "tree" still
-        # selects the reference interpreter.
+        # selects the fig 7 small-step machine.
         engine = params.get("engine")
         if engine is None:
             engine = "ir"

@@ -160,20 +160,15 @@ def test_generated_programs_accepted_verified_and_run(source):
 @given(programs())
 @settings(max_examples=60, deadline=None)
 def test_generated_programs_agree_across_semantics(source):
-    """Both runtimes (big-step generators, fig 7 small-step machine)
+    """Both engines (the fig 7 small-step machine and the bytecode engine)
     produce identical results and identical heap traffic on arbitrary
     generated programs."""
-    from repro.runtime.smallstep import run_function_smallstep
-
     program = parse_program(source)
     Checker(program).check_program()
-    heap_big = Heap()
-    big, _ = run_function(program, "main", heap=heap_big)
-    heap_small = Heap()
-    small, _ = run_function_smallstep(program, "main", heap=heap_small)
-    assert big == small
-    assert (heap_big.reads, heap_big.writes) == (
-        heap_small.reads,
-        heap_small.writes,
-    )
-    assert len(heap_big) == len(heap_small)
+    heap_tree = Heap()
+    tree, _ = run_function(program, "main", heap=heap_tree)
+    heap_ir = Heap()
+    ir, _ = run_function(program, "main", heap=heap_ir, engine="ir")
+    assert tree == ir
+    assert (heap_tree.reads, heap_tree.writes) == (heap_ir.reads, heap_ir.writes)
+    assert len(heap_tree) == len(heap_ir)

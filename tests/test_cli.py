@@ -360,6 +360,7 @@ class TestExitCodes:
             ["serve", "--cache-entries", "0"],
             ["serve", "--cache-bytes", "0"],
             ["run", "F", "f", "1", "--max-steps", "0"],
+            ["client", "run", "F", "f", "1", "--max-steps", "0"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}",
     )

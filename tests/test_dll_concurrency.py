@@ -12,7 +12,6 @@ from repro.core.checker import Checker
 from repro.corpus import load_source
 from repro.lang import parse_program
 from repro.runtime.machine import Machine
-from repro.runtime.smallstep import SmallStepMachine
 
 SOURCE = (
     load_source("dll")
@@ -72,11 +71,11 @@ class TestFearlessDll:
     def test_typechecks(self, program):
         pass  # the fixture did the work
 
-    @pytest.mark.parametrize("machine_cls", [Machine, SmallStepMachine])
+    @pytest.mark.parametrize("engine", ["tree", "ir"])
     @pytest.mark.parametrize("seed", [0, 7, 99])
-    def test_pipeline(self, program, machine_cls, seed):
+    def test_pipeline(self, program, engine, seed):
         n = 8
-        machine = machine_cls(program, seed=seed)
+        machine = Machine(program, seed=seed, engine=engine)
         machine.spawn("producer", [n])
         machine.spawn("dll_relay", [n])
         collector = machine.spawn("collector", [n])

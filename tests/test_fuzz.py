@@ -100,6 +100,35 @@ class TestScheduleOracle:
         assert not report.deadlocks()
         assert report.distinct_results() and len(report.distinct_results()) == 1
 
+    # Two producers race to a consumer that keeps its first message: no
+    # schedule violates a reservation, but the result depends on which
+    # producer the scheduler pairs first.
+    ORDER_SENSITIVE = """
+    struct data { v : int; }
+    def one() : unit { let d = new data(v = 1); send(d) }
+    def ten() : unit { let d = new data(v = 10); send(d) }
+    def first() : int { let a = recv(data); let b = recv(data); a.v }
+    """
+    ORDER_SPAWNS = [("one", []), ("ten", []), ("first", [])]
+
+    def test_enumeration_compares_thread_results(self):
+        program = parse_program(self.ORDER_SENSITIVE)
+        report = enumerate_schedules(program, self.ORDER_SPAWNS, limit=200)
+        assert not report.violations() and not report.deadlocks()
+        firsts = sorted(results[2] for results in report.distinct_results())
+        assert firsts == [1, 10]
+
+    def test_determinism_oracle_flags_schedule_dependent_results(self):
+        from repro.fuzz.gen import GenCase
+
+        case = GenCase(
+            "order", "pipeline", self.ORDER_SENSITIVE, self.ORDER_SPAWNS
+        )
+        outcome = check_case(case, OracleConfig(schedules=8))
+        assert outcome.accepted
+        assert outcome.violation is not None
+        assert outcome.violation.oracle == "determinism"
+
 
 class TestShrink:
     def test_shrinks_to_minimal_use_after_send(self):

@@ -1,7 +1,7 @@
 """The bytecode engine (``--engine ir``): compile pipeline and parity.
 
-The IR engine must be observationally indistinguishable from the tree
-interpreter: identical results, byte-identical heap-event traces, and the
+The IR engine must be observationally indistinguishable from the fig 7
+small-step machine (the ``tree`` engine): identical results, byte-identical heap-event traces, and the
 same reservation-check counts in the observable tier, over the whole
 corpus and under concurrent scheduling.  The full optimization tier
 (erased, untraced) may read the heap less often but must agree on results
@@ -232,7 +232,7 @@ class TestCompiler:
 
     def test_erased_spin_agrees_on_result_and_allocations(self):
         program = parse_program(SPIN)
-        # Object counts must match the tree interpreter's.
+        # Object counts must match the small-step machine's.
         tree = _run(program, "spin", [10], engine="tree", checked=False,
                     traced=False)
         ir = _run(program, "spin", [10], engine="ir", checked=False,
@@ -307,7 +307,7 @@ class TestSurfaces:
         assert report["clean"]
 
     def test_erased_ir_beats_erased_tree_on_chain_traverse(self):
-        """The compiled full tier outruns the tree interpreter with guards
+        """The compiled full tier outruns the small-step machine with guards
         erased in both: best of 3 over 20 recursive sums of a 100-node
         list, after a cold compile that is not timed."""
         program = parse_program(load_source("sll"))

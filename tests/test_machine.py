@@ -1,11 +1,10 @@
-"""Interpreter and heap semantics tests."""
+"""Evaluation and heap semantics tests (the default ``tree`` engine)."""
 
 import pytest
 
 from repro.lang import parse_program
 from repro.runtime.heap import Heap, HeapError
 from repro.runtime.machine import (
-    Interpreter,
     MachineError,
     ReservationViolation,
     run_function,

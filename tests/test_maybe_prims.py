@@ -7,7 +7,6 @@ from repro.core.errors import TypeError_
 from repro.lang import parse_program
 from repro.runtime.heap import Heap
 from repro.runtime.machine import run_function
-from repro.runtime.smallstep import run_function_smallstep
 from repro.runtime.values import NONE
 
 SRC = """
@@ -59,12 +58,10 @@ class TestChecking:
 
 
 class TestRuntime:
-    @pytest.mark.parametrize(
-        "runner", [run_function, run_function_smallstep], ids=["big", "small"]
-    )
-    def test_demo(self, runner):
+    @pytest.mark.parametrize("engine", ["tree", "ir"])
+    def test_demo(self, engine):
         program = parse_program(SRC)
-        result, _ = runner(program, "demo")
+        result, _ = run_function(program, "demo", engine=engine)
         assert result == 100 + 5 + 100
 
     def test_defaults_are_none(self):

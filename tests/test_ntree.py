@@ -10,7 +10,7 @@ from repro.core.checker import Checker
 from repro.corpus import load_program, load_source
 from repro.lang import parse_program
 from repro.runtime.heap import Heap
-from repro.runtime.smallstep import SmallStepMachine, run_function_smallstep
+from repro.runtime.machine import Machine, run_function
 from repro.runtime.values import NONE
 from repro.verifier import Verifier
 
@@ -32,39 +32,39 @@ class TestStructure:
     )
     def test_complete_tree_sizes(self, env, depth, arity, expected):
         program, heap = env
-        tree, _ = run_function_smallstep(
+        tree, _ = run_function(
             program, "build", [depth, arity, 0], heap=heap
         )
-        size, _ = run_function_smallstep(program, "size", [tree], heap=heap)
+        size, _ = run_function(program, "size", [tree], heap=heap)
         assert size == expected
-        height, _ = run_function_smallstep(program, "height", [tree], heap=heap)
+        height, _ = run_function(program, "height", [tree], heap=heap)
         assert height == depth
 
     def test_add_child_grows(self, env):
         program, heap = env
-        root, _ = run_function_smallstep(program, "leaf", [1], heap=heap)
+        root, _ = run_function(program, "leaf", [1], heap=heap)
         for tag in (2, 3, 4):
-            child, _ = run_function_smallstep(program, "leaf", [tag], heap=heap)
-            run_function_smallstep(program, "add_child", [root, child], heap=heap)
-        assert run_function_smallstep(program, "size", [root], heap=heap)[0] == 4
-        assert run_function_smallstep(program, "tag_sum", [root], heap=heap)[0] == 10
+            child, _ = run_function(program, "leaf", [tag], heap=heap)
+            run_function(program, "add_child", [root, child], heap=heap)
+        assert run_function(program, "size", [root], heap=heap)[0] == 4
+        assert run_function(program, "tag_sum", [root], heap=heap)[0] == 10
 
     def test_detach_first_is_dominating(self, env):
         program, heap = env
-        tree, _ = run_function_smallstep(program, "build", [3, 2, 0], heap=heap)
-        child, _ = run_function_smallstep(program, "detach_first", [tree], heap=heap)
+        tree, _ = run_function(program, "build", [3, 2, 0], heap=heap)
+        child, _ = run_function(program, "detach_first", [tree], heap=heap)
         assert child is not NONE
         # The detached subtree is disjoint from the remaining tree.
         assert heap.live_set(child).isdisjoint(heap.live_set(tree))
-        assert run_function_smallstep(program, "size", [tree], heap=heap)[0] == 4
-        assert run_function_smallstep(program, "size", [child], heap=heap)[0] == 3
+        assert run_function(program, "size", [tree], heap=heap)[0] == 4
+        assert run_function(program, "size", [child], heap=heap)[0] == 3
         check_refcounts(heap)
         check_iso_domination(heap, [tree, child])
 
     def test_detach_empties(self, env):
         program, heap = env
-        root, _ = run_function_smallstep(program, "leaf", [0], heap=heap)
-        got, _ = run_function_smallstep(program, "detach_first", [root], heap=heap)
+        root, _ = run_function(program, "leaf", [0], heap=heap)
+        got, _ = run_function(program, "detach_first", [root], heap=heap)
         assert got is NONE
 
 
@@ -78,13 +78,13 @@ def scatterer() : int {
 """
         program = parse_program(source)
         Checker(program).check_program()
-        machine = SmallStepMachine(program, seed=3)
+        machine = Machine(program, seed=3)
         scatterer = machine.spawn("scatterer")
         gatherer = machine.spawn("gather", [3])
         machine.run()
         assert scatterer.result == 3
         root = gatherer.result
-        size, _ = run_function_smallstep(
+        size, _ = run_function(
             program, "size", [root], heap=machine.heap
         )
         assert size == 1 + 3 * 4  # fresh root + three depth-2 subtrees
@@ -100,8 +100,8 @@ def scatterer() : int {
 def test_size_height_formulas(depth, arity):
     program = load_program("ntree")
     heap = Heap()
-    tree, _ = run_function_smallstep(program, "build", [depth, arity, 0], heap=heap)
-    size, _ = run_function_smallstep(program, "size", [tree], heap=heap)
+    tree, _ = run_function(program, "build", [depth, arity, 0], heap=heap)
+    size, _ = run_function(program, "size", [tree], heap=heap)
     expected = sum(arity**i for i in range(depth))
     assert size == expected
     check_refcounts(heap)
